@@ -20,9 +20,9 @@ Mirroring rules worth spelling out:
   premature read (e.g. of a locked or reclaimed version).
 - **Renaming unlocks mirror in two steps.**  The manager's
   ``unlock_version(new_version=...)`` internally calls its own
-  ``store_version``, which the sanitizer has already wrapped — so the
-  nested store mirrors the rename and ``mirror_unlock`` only releases
-  the lock.
+  ``store_version``, which fires its own ``outcome`` event first — so
+  the nested store mirrors the rename and ``mirror_unlock`` only
+  releases the lock.
 - **GC reclaims are checked before they are mirrored**: at reclaim time
   the version must be shadowed, unlocked, and invisible to every live
   task's LOAD-LATEST — the paper's Section III-B safety argument,

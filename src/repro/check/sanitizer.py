@@ -1,36 +1,32 @@
 """The sanitizer: op-level differential checking plus invariant checkpoints.
 
-:class:`Sanitizer` attaches to a machine by shadowing the manager's seven
-versioned operations (and ``free_ostructure``) with instance-attribute
-wrappers.  Each wrapper lets the hardware model run first, then replays
-the op against the software reference via the
+:class:`Sanitizer` attaches to a machine through its event channel
+(:mod:`repro.sim.events`).  Its one ``outcome`` handler sees every
+versioned operation (and ``free_ostructure``) after the hardware model
+ran it — including stalls and refusals — and replays it against the
+software reference via the
 :class:`~repro.check.oracle.DifferentialOracle`; every ``interval``
 checked ops the structural invariants of
-:mod:`repro.check.invariants` are validated as well.  A GC reclaim hook
-audits Section III-B safety for every reclaimed block before mirroring
-the reclaim into the reference.
+:mod:`repro.check.invariants` are validated as well.  A ``reclaim``
+handler audits Section III-B safety for every reclaimed block before
+mirroring the reclaim into the reference.
 
-Because the wrappers are instance attributes, the manager's *internal*
-calls are checked too — a renaming ``unlock_version`` resolves
-``self.store_version`` to the wrapped version, so the rename's store is
-mirrored exactly once, in order.
+The manager fires outcomes for its *internal* calls too — a renaming
+``unlock_version`` runs its own ``store_version`` — so the rename's
+store is mirrored exactly once, in order, before the unlock.
 
 On any disagreement a :class:`CheckViolation` is raised carrying a
 structured report: the violated facts, the offending op, the simulated
-cycle, the tail of the auto-attached :class:`~repro.sim.trace.Tracer`
-(the interleaving *is* the bug report), and the wait-graph post-mortem.
+cycle, the tail of the ops the sanitizer checked (the interleaving *is*
+the bug report), and the wait-graph post-mortem.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Any
 
-from ..errors import (
-    NotLockedError,
-    ProtectionFault,
-    SimulationError,
-    VersionExistsError,
-)
+from ..errors import SimulationError
 from ..ostruct import isa
 from ..ostruct.manager import StallSignal
 from .invariants import check_invariants
@@ -112,17 +108,6 @@ def _rebuild_violation(kind, problems, op, cycle, ops_checked, trace_tail, post_
 class Sanitizer:
     """Differential + invariant checker wired into one machine."""
 
-    #: Manager attributes shadowed by wrappers.
-    _WRAPPED = (
-        "load_version",
-        "load_latest",
-        "store_version",
-        "lock_load_version",
-        "lock_load_latest",
-        "unlock_version",
-        "free_ostructure",
-    )
-
     def __init__(
         self,
         machine: "Machine",
@@ -135,37 +120,24 @@ class Sanitizer:
         #: Structural invariants are validated every ``interval`` checked
         #: ops (0 disables periodic checkpoints; the final sweep remains).
         self.interval = interval
-        self.trace_tail = trace_tail
         self.ops_checked = 0
         self.checkpoints_run = 0
-        mgr = machine.manager
-        self._orig = {name: getattr(mgr, name) for name in self._WRAPPED}
-        for name in self._WRAPPED:
-            setattr(mgr, name, getattr(self, f"_{name}"))
-        machine.gc.reclaim_hooks.append(self._on_reclaim)
-        machine.manager.drop_hooks.append(self._on_abort_drop)
-        # Keep an interleaving record for violation reports, but never
-        # displace a tracer/hook the user installed first.
-        self.tracer = None
-        if machine.trace_hook is None:
-            from ..sim.trace import Tracer
-
-            self.tracer = Tracer(machine, capacity=4096, only_versioned=True)
+        #: The last ``trace_tail`` outcomes seen, for violation reports:
+        #: ``(cycle, core_id, task_id, op, result)``.
+        self.tail: deque[tuple] = deque(maxlen=trace_tail)
+        events = machine.events
+        events.subscribe("outcome", self._on_outcome)
+        events.subscribe("reclaim", self._on_reclaim)
+        events.subscribe("drop", self._on_abort_drop)
 
     # -- lifecycle -----------------------------------------------------------
 
     def uninstall(self) -> None:
-        """Restore the unwrapped manager (fault-injection tests)."""
-        mgr = self.machine.manager
-        for name in self._WRAPPED:
-            if getattr(mgr, name, None) == getattr(self, f"_{name}"):
-                delattr(mgr, name)
-        if self._on_reclaim in self.machine.gc.reclaim_hooks:
-            self.machine.gc.reclaim_hooks.remove(self._on_reclaim)
-        if self._on_abort_drop in self.machine.manager.drop_hooks:
-            self.machine.manager.drop_hooks.remove(self._on_abort_drop)
-        if self.tracer is not None:
-            self.tracer.detach()
+        """Stop checking (fault-injection tests)."""
+        events = self.machine.events
+        events.unsubscribe("outcome", self._on_outcome)
+        events.unsubscribe("reclaim", self._on_reclaim)
+        events.unsubscribe("drop", self._on_abort_drop)
 
     def finish(self) -> None:
         """Terminal sweep: full invariants plus a whole-state model diff."""
@@ -187,11 +159,6 @@ class Sanitizer:
             return
         from ..sim import waitgraph
 
-        tail = (
-            [str(e) for e in self.tracer.last(self.trace_tail)]
-            if self.tracer is not None
-            else []
-        )
         try:
             pm = waitgraph.post_mortem(self.machine)
         except Exception as exc:  # pragma: no cover - diagnostics only
@@ -202,7 +169,7 @@ class Sanitizer:
             op=op,
             cycle=self.machine.sim.now,
             ops_checked=self.ops_checked,
-            trace_tail=tail,
+            trace_tail=[_describe(*entry) for entry in self.tail],
             post_mortem=pm,
         )
 
@@ -216,129 +183,46 @@ class Sanitizer:
         self._require(not problems, "invariant-checkpoint", problems, None)
         self.checkpoints_run += 1
 
-    # -- wrapped operations --------------------------------------------------
+    # -- the outcome event ---------------------------------------------------
 
-    def _load_version(self, core_id: int, vaddr: int, version: int):
-        op = (isa.LOAD_VERSION, vaddr, version)
-        try:
-            lat, value = self._orig["load_version"](core_id, vaddr, version)
-        except StallSignal:
-            problems = self.oracle.expect_blocked_exact(vaddr, version)
+    def _on_outcome(
+        self, core_id: int | None, task_id: int | None, op: tuple, result: Any
+    ) -> None:
+        self.tail.append((self.machine.sim.now, core_id, task_id, op, result))
+        oracle = self.oracle
+        kind, vaddr = op[0], op[1]
+        if isinstance(result, StallSignal):
+            if kind == isa.LOAD_VERSION or kind == isa.LOCK_LOAD_VERSION:
+                problems = oracle.expect_blocked_exact(vaddr, op[2])
+            else:
+                problems = oracle.expect_blocked_latest(vaddr, op[2])
             self._require(not problems, "divergence", problems, op)
-            raise
-        problems = self.oracle.expect_exact(vaddr, version, value)
-        self._require(not problems, "divergence", problems, op)
-        self._checkpoint()
-        return lat, value
-
-    def _load_latest(self, core_id: int, vaddr: int, cap: int):
-        op = (isa.LOAD_LATEST, vaddr, cap)
-        try:
-            lat, (version, value) = self._orig["load_latest"](
-                core_id, vaddr, cap
-            )
-        except StallSignal:
-            problems = self.oracle.expect_blocked_latest(vaddr, cap)
+            return
+        if isinstance(result, SimulationError):
+            if kind == isa.STORE_VERSION:
+                problems = oracle.expect_store_conflict(vaddr, op[2])
+            else:
+                problems = oracle.expect_not_locked(vaddr, op[2], task_id)
             self._require(not problems, "divergence", problems, op)
-            raise
-        problems = self.oracle.expect_latest(vaddr, cap, version, value)
+            return
+        if kind == isa.LOAD_VERSION:
+            problems = oracle.expect_exact(vaddr, op[2], result)
+        elif kind == isa.LOAD_LATEST:
+            problems = oracle.expect_latest(vaddr, op[2], *result)
+        elif kind == isa.STORE_VERSION:
+            problems = oracle.mirror_store(vaddr, op[2], op[3])
+        elif kind == isa.LOCK_LOAD_VERSION:
+            problems = oracle.mirror_lock_exact(vaddr, op[2], task_id, result)
+        elif kind == isa.LOCK_LOAD_LATEST:
+            problems = oracle.mirror_lock_latest(vaddr, op[2], task_id, *result)
+        elif kind == isa.UNLOCK_VERSION:
+            # A renaming unlock's new version was mirrored by the store
+            # outcome the manager fired first; this only releases the lock.
+            problems = oracle.mirror_unlock(vaddr, op[2], task_id)
+        else:
+            problems = oracle.mirror_free(vaddr, result)
         self._require(not problems, "divergence", problems, op)
         self._checkpoint()
-        return lat, (version, value)
-
-    def _store_version(
-        self,
-        core_id: int,
-        vaddr: int,
-        version: int,
-        value: Any,
-        task_id: int | None = None,
-    ):
-        op = (isa.STORE_VERSION, vaddr, version, value)
-        try:
-            result = self._orig["store_version"](
-                core_id, vaddr, version, value, task_id
-            )
-        except VersionExistsError:
-            problems = self.oracle.expect_store_conflict(vaddr, version)
-            self._require(not problems, "divergence", problems, op)
-            raise
-        problems = self.oracle.mirror_store(vaddr, version, value)
-        self._require(not problems, "divergence", problems, op)
-        self._checkpoint()
-        return result
-
-    def _lock_load_version(
-        self, core_id: int, vaddr: int, version: int, task_id: int
-    ):
-        op = (isa.LOCK_LOAD_VERSION, vaddr, version)
-        try:
-            lat, value = self._orig["lock_load_version"](
-                core_id, vaddr, version, task_id
-            )
-        except StallSignal:
-            problems = self.oracle.expect_blocked_exact(vaddr, version)
-            self._require(not problems, "divergence", problems, op)
-            raise
-        problems = self.oracle.mirror_lock_exact(vaddr, version, task_id, value)
-        self._require(not problems, "divergence", problems, op)
-        self._checkpoint()
-        return lat, value
-
-    def _lock_load_latest(self, core_id: int, vaddr: int, cap: int, task_id: int):
-        op = (isa.LOCK_LOAD_LATEST, vaddr, cap)
-        try:
-            lat, (version, value) = self._orig["lock_load_latest"](
-                core_id, vaddr, cap, task_id
-            )
-        except StallSignal:
-            problems = self.oracle.expect_blocked_latest(vaddr, cap)
-            self._require(not problems, "divergence", problems, op)
-            raise
-        problems = self.oracle.mirror_lock_latest(
-            vaddr, cap, task_id, version, value
-        )
-        self._require(not problems, "divergence", problems, op)
-        self._checkpoint()
-        return lat, (version, value)
-
-    def _unlock_version(
-        self,
-        core_id: int,
-        vaddr: int,
-        version: int,
-        task_id: int,
-        new_version: int | None = None,
-    ):
-        op = (isa.UNLOCK_VERSION, vaddr, version, new_version)
-        try:
-            # A renaming unlock calls the manager's own store_version,
-            # which resolves to the wrapped one: the rename is mirrored
-            # there, so mirror_unlock below only releases the lock.
-            result = self._orig["unlock_version"](
-                core_id, vaddr, version, task_id, new_version
-            )
-        except NotLockedError:
-            problems = self.oracle.expect_not_locked(vaddr, version, task_id)
-            self._require(not problems, "divergence", problems, op)
-            raise
-        problems = self.oracle.mirror_unlock(vaddr, version, task_id)
-        self._require(not problems, "divergence", problems, op)
-        self._checkpoint()
-        return result
-
-    def _free_ostructure(self, vaddr: int):
-        op = ("free_ostructure", vaddr)
-        try:
-            count = self._orig["free_ostructure"](vaddr)
-        except ProtectionFault:
-            # The hardware refused (waiters or locked versions); the
-            # reference keeps its state and nothing needs mirroring.
-            raise
-        problems = self.oracle.mirror_free(vaddr, count)
-        self._require(not problems, "divergence", problems, op)
-        self._checkpoint()
-        return count
 
     # -- GC auditing ---------------------------------------------------------
 
@@ -365,3 +249,14 @@ class Sanitizer:
         self._require(
             not problems, "abort-rollback", problems, ("abort_drop", vaddr, version)
         )
+
+
+def _describe(
+    cycle: int, core_id: int | None, task_id: int | None, op: tuple, result: Any
+) -> str:
+    """One tail line: ``[cycle] c0 t3 load_latest @0x40 (5,) -> (4, 'x')``."""
+    who = "".join(
+        f" {tag}{n}" for tag, n in (("c", core_id), ("t", task_id)) if n is not None
+    )
+    shown = type(result).__name__ if isinstance(result, Exception) else repr(result)
+    return f"[{cycle:>8}]{who} {op[0]} @0x{op[1]:x} {op[2:]!r} -> {shown}"

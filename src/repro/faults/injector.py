@@ -1,17 +1,18 @@
 """Deterministic machine-tier fault injection.
 
 The injector arms a :class:`~repro.faults.spec.FaultSpec` plan against a
-live machine by wrapping two manager chokepoints:
+live machine by subscribing to two events of its channel
+(:mod:`repro.sim.events`):
 
-- ``manager._extra`` — called exactly once per completed versioned
-  operation — provides the *op ordinal* used to trigger op-indexed
-  faults (``starve-free-list``, ``pause-gc``, ``abort-task``, and the
+- ``tick`` — fired once per versioned operation, at its latency charge
+  — provides the *op ordinal* used to trigger op-indexed faults
+  (``starve-free-list``, ``pause-gc``, ``abort-task``, and the
   environment faults ``crash-machine`` / ``corrupt-block``, which kill
   the run or damage its newest checkpoint image; see repro.recovery);
-- ``manager._notify`` — the waiter wake-up path — provides the *notify
-  ordinal* used by the wake faults (``drop-wake`` swallows the
+- ``wake`` — fired when waiters are about to be woken — provides the
+  *notify ordinal* used by the wake faults (``drop-wake`` swallows the
   notification, ``delay-wake`` postpones delivery).  Notifications with
-  no parked waiter are not counted: a plan's window always lines up
+  no parked waiter do not fire it: a plan's window always lines up
   with wake-ups that would actually have delivered something.
 
 Both ordinals advance deterministically with the simulation, so a given
@@ -64,39 +65,34 @@ class FaultInjector:
             reverse=True,
         )
         self._wake_faults = [f for f in self.plan if f.kind in _WAKE_KINDS]
-        manager = machine.manager
-        self._orig_extra = manager._extra
-        self._orig_notify = manager._notify
-        manager._extra = self._extra
-        manager._notify = self._notify
+        machine.events.subscribe("tick", self._on_tick)
+        machine.events.subscribe("wake", self._on_wake)
 
-    # -- wrapped chokepoints ---------------------------------------------------
+    # -- events ----------------------------------------------------------------
 
-    def _extra(self) -> int:
+    def _on_tick(self) -> None:
         self.op_index += 1
         while self._op_faults and self._op_faults[-1].at <= self.op_index:
             self._trigger(self._op_faults.pop())
-        return self._orig_extra()
 
-    def _notify(self, vaddr: int) -> None:
-        manager = self.machine.manager
-        if not manager._waiters.get(vaddr):
-            return self._orig_notify(vaddr)
+    def _on_wake(self, vaddr: int) -> bool:
+        """True when a wake fault took over this notification."""
         self.notify_index += 1
         idx = self.notify_index
         for f in self._wake_faults:
             if f.at <= idx < f.at + f.span:
-                if f.kind == "drop-wake":
-                    # Swallow the wake-up; the waiters stay parked.  The
-                    # watchdog's kick path is the designed recovery.
-                    self._record(f)
-                    return
-                # delay-wake: deliver late (a normal wake is delay 1).
-                cbs = manager._waiters.pop(vaddr)
-                manager._schedule_wake(cbs, max(2, f.value))
+                if f.kind == "delay-wake":
+                    # Deliver late (a normal wake is delay 1).
+                    manager = self.machine.manager
+                    manager._schedule_wake(
+                        manager._waiters.pop(vaddr), max(2, f.value)
+                    )
+                # drop-wake swallows the wake-up; the waiters stay
+                # parked.  The watchdog's kick path is the designed
+                # recovery.
                 self._record(f)
-                return
-        return self._orig_notify(vaddr)
+                return True
+        return False
 
     # -- fault actions ---------------------------------------------------------
 
@@ -111,7 +107,7 @@ class FaultInjector:
             m.sim.schedule(max(1, f.value), lambda: self._resume_gc())
             self._record(f)
         elif f.kind == "abort-task":
-            # _extra runs mid-dispatch: the victim core may be the one
+            # The tick fires mid-dispatch: the victim core may be the one
             # executing right now, so defer the abort to a fresh event.
             m.sim.schedule(0, lambda spec=f: self._abort(spec))
         elif f.kind == "crash-machine":

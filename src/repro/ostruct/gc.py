@@ -36,7 +36,7 @@ collection on-the-fly rather than stop-the-world.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .version_block import VersionBlock, VersionList
 
@@ -45,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.hierarchy import MemoryHierarchy
     from ..sim.stats import SimStats
     from .free_list import FreeList
+    from .manager import OStructureManager
 
 
 class GarbageCollector:
@@ -81,21 +82,12 @@ class GarbageCollector:
         #: Times the pin was dropped to break allocation-pressure
         #: starvation (see :meth:`emergency_collect`).
         self.pin_drops = 0
-        #: Callbacks ``fn(vaddr, version)`` fired when a version is
-        #: reclaimed (the manager drops compressed-line entries).
-        self.reclaim_hooks: list[Callable[[int, int], None]] = []
-        #: Callbacks ``fn(vaddr, version)`` fired when a version becomes
-        #: shadowed.  Pairing a shadow event with the matching reclaim
-        #: event gives the reclamation-lag distribution (repro.obs).
-        self.shadow_hooks: list[Callable[[int, int], None]] = []
-        #: Callbacks ``fn(event)`` observing phase boundaries; ``event``
-        #: is "start", "end" or "emergency" (repro.obs span recording).
-        self.phase_hooks: list[Callable[[str], None]] = []
+        #: The manager this collector serves, set by the manager itself:
+        #: a reclaim calls its ``_on_reclaim`` (compressed-line cleanup)
+        #: and fires the ``reclaim``/``shadow``/``gc_phase`` events on its
+        #: channel (repro.sim.events).
+        self.manager: "OStructureManager | None" = None
         tracker.on_end.append(self._on_task_end)
-
-    def _fire_phase(self, event: str) -> None:
-        for hook in self.phase_hooks:
-            hook(event)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -121,9 +113,8 @@ class GarbageCollector:
         block.shadowed_by = by
         self._shadowed.append((block, vlist))
         self.stats.shadowed_registered += 1
-        if self.shadow_hooks:
-            for hook in self.shadow_hooks:
-                hook(vlist.vaddr, block.version)
+        for fn in self.manager.events.shadow:
+            fn(vlist.vaddr, block.version)
 
     def forget_block(self, block: VersionBlock) -> int:
         """Drop every queued entry for exactly this block; returns count.
@@ -182,8 +173,7 @@ class GarbageCollector:
             + [blk.shadowed_by for blk, _ in self._pending]
         )
         self.stats.gc_phases += 1
-        if self.phase_hooks:
-            self._fire_phase("start")
+        self.manager.events.emit("gc_phase", "start")
         self._try_finalize()
 
     def _on_task_end(self, task_id: int) -> None:
@@ -235,8 +225,7 @@ class GarbageCollector:
         if not self.enabled:
             return 0
         self.stats.emergency_gc_phases += 1
-        if self.phase_hooks:
-            self._fire_phase("emergency")
+        self.manager.events.emit("gc_phase", "emergency")
         freed, pin_kept = self._emergency_pass()
         if freed == 0 and pin_kept > 0:
             self.epoch_pin = None
@@ -244,8 +233,7 @@ class GarbageCollector:
             freed, _ = self._emergency_pass()
         if self._phase_active and not self._pending:
             self._phase_active = False
-            if self.phase_hooks:
-                self._fire_phase("end")
+            self.manager.events.emit("gc_phase", "end")
         return freed
 
     def _emergency_pass(self) -> tuple[int, int]:
@@ -266,11 +254,7 @@ class GarbageCollector:
                     pin_kept += 1
                     kept.append((block, vlist))
                     continue
-                vlist.remove(block)
-                self.free_list.release(block.paddr)
-                for hook in self.reclaim_hooks:
-                    hook(vlist.vaddr, block.version)
-                self.stats.gc_reclaimed += 1
+                self._reclaim(block, vlist)
                 freed += 1
             queue[:] = kept
         return freed, pin_kept
@@ -330,19 +314,23 @@ class GarbageCollector:
                 self.stats.gc_pin_kept += 1
                 kept.append((block, vlist))
                 continue
-            vlist.remove(block)
-            self.free_list.release(block.paddr)
-            # The dead block's cache lines are left alone: they may also
-            # hold live version blocks (4 per 64 B line), and a stale dead
-            # block is harmless — coherence handles the line when the
-            # free-list reuses the address.
-            for hook in self.reclaim_hooks:
-                hook(vlist.vaddr, block.version)
-            self.stats.gc_reclaimed += 1
+            self._reclaim(block, vlist)
         self._pending = []
         for item in kept:
             item[0].shadowed = True
             self._shadowed.append(item)
         self._phase_active = False
-        if self.phase_hooks:
-            self._fire_phase("end")
+        self.manager.events.emit("gc_phase", "end")
+
+    def _reclaim(self, block: VersionBlock, vlist: VersionList) -> None:
+        """Return one dead block to the free list."""
+        vlist.remove(block)
+        self.free_list.release(block.paddr)
+        # The dead block's cache lines are left alone: they may also
+        # hold live version blocks (4 per 64 B line), and a stale dead
+        # block is harmless — coherence handles the line when the
+        # free-list reuses the address.
+        manager = self.manager
+        manager._on_reclaim(vlist.vaddr, block.version)
+        manager.events.emit("reclaim", vlist.vaddr, block.version)
+        self.stats.gc_reclaimed += 1

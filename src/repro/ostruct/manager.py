@@ -36,6 +36,7 @@ from ..errors import (
     SimulationError,
     VersionExistsError,
 )
+from . import isa
 from .compression import CompressedLine
 from .version_block import VersionBlock, VersionList
 
@@ -142,6 +143,30 @@ class _WakeBatch:
 class OStructureManager:
     """Implements the seven versioned-memory operations of Section II-A."""
 
+    __slots__ = (
+        "config",
+        "sim",
+        "hierarchy",
+        "page_table",
+        "free_list",
+        "gc",
+        "stats",
+        "events",
+        "metrics",
+        "lists",
+        "_direct",
+        "_block_index",
+        "_waiters",
+        "_batch_pool",
+        "_list_pool",
+        "roots",
+        "_memo_core",
+        "_memo_vaddr",
+        "_memo_entry",
+        "_created",
+        "_track_created",
+    )
+
     def __init__(
         self,
         *,
@@ -160,6 +185,14 @@ class OStructureManager:
         self.free_list = free_list
         self.gc = gc
         self.stats = stats
+        # Imported here: repro.sim's package init imports the cores,
+        # which import this module.
+        from ..sim.events import EventChannel
+
+        #: The machine's event channel (repro.sim.events): every observer
+        #: and interposer attaches there.  Built here, at the chokepoint
+        #: every versioned op passes; the machine and the GC share it.
+        self.events = EventChannel()
         #: Metrics registry (repro.obs), or ``None``: every instrumented
         #: path below gates on a single attribute check so the disabled
         #: configuration adds no measurable work (the perf gate enforces
@@ -189,10 +222,6 @@ class OStructureManager:
         self._memo_core: int = -1
         self._memo_vaddr: int = -1
         self._memo_entry: _DirectEntry | None = None
-        #: Callbacks ``fn(vaddr, version)`` fired when an aborted task's
-        #: uncommitted version is rolled back (distinct from GC reclaim
-        #: hooks: the sanitizer audits the two events differently).
-        self.drop_hooks: list[Callable[[int, int], None]] = []
         #: task id -> [(vaddr, version), ...] it created, in order.
         #: Tracked only when something can abort tasks (watchdog or an
         #: abort-task fault plan) — it is pure overhead otherwise.
@@ -203,7 +232,9 @@ class OStructureManager:
         )
         for core_id in range(config.num_cores):
             hierarchy.add_l1_evict_hook(core_id, self._make_discard_hook(core_id))
-        gc.reclaim_hooks.append(self._on_reclaim)
+        # The GC calls _on_reclaim directly and fires its events on our
+        # channel.
+        gc.manager = self
         gc.tracker.on_end.append(self._on_task_end)
 
     # ------------------------------------------------------------------
@@ -221,6 +252,9 @@ class OStructureManager:
         return hook
 
     def _on_reclaim(self, vaddr: int, version: int) -> None:
+        """The GC reclaimed a block (a direct call, before any ``reclaim``
+        subscriber): drop its compressed-line entries and let
+        backpressured cores retry."""
         for core_direct in self._direct:
             entry = core_direct.get(vaddr)
             if entry is not None:
@@ -331,10 +365,10 @@ class OStructureManager:
         """Re-deliver every parked wake-up (lost-wake recovery).
 
         Pops every waiter list and schedules the callbacks directly,
-        bypassing ``_notify`` — which a fault injector may have wrapped
-        to drop wake-ups in the first place.  Harmless when the waits
-        are legitimate: a premature retry that still cannot complete
-        simply re-parks.  Returns the number of waiters woken.
+        bypassing ``_notify`` and its ``wake`` event — through which a
+        fault injector may have dropped wake-ups in the first place.
+        Harmless when the waits are legitimate: a premature retry that
+        still cannot complete simply re-parks.  Returns the number of waiters woken.
         """
         woken = 0
         for vaddr in list(self._waiters):
@@ -372,11 +406,15 @@ class OStructureManager:
         events between consecutive waiter seqs), so simulated time and
         event ordering are identical to the per-waiter scheme while the
         heap churn is O(1) per notification instead of O(waiters).
+
+        A ``wake`` subscriber (the fault injector) may take delivery over.
         """
-        cbs = self._waiters.pop(vaddr, None)
-        if not cbs:
+        if not self._waiters.get(vaddr):
             return
-        self._schedule_wake(cbs, 1)
+        for fn in self.events.wake:
+            if fn(vaddr):
+                return
+        self._schedule_wake(self._waiters.pop(vaddr), 1)
 
     # ------------------------------------------------------------------
     # Shared lookup machinery.
@@ -387,13 +425,16 @@ class OStructureManager:
         self.roots.add(vaddr)
 
     def _extra(self) -> int:
-        """Injected latency plus GC interference.
+        """Injected latency plus GC interference; fires the ``tick`` event.
 
         While a collection phase is active the collector shares the
         cache/manager ports with the program, which costs one extra cycle
         per versioned operation — the source of the paper's ~0.1%
-        GC overhead (Section IV-F).
+        GC overhead (Section IV-F).  The tick is the versioned-op
+        ordinal the checkpointer and the fault injector count.
         """
+        for fn in self.events.tick:
+            fn()
         lat = self.config.versioned_op_extra_latency
         if self.gc.phase_active:
             lat += 1
@@ -482,28 +523,59 @@ class OStructureManager:
         return lat, block, False
 
     # ------------------------------------------------------------------
+    # Op outcomes (the ``outcome`` event).
+    # ------------------------------------------------------------------
+
+    def _fire(
+        self, core_id: int | None, task_id: int | None, op: tuple, result: Any
+    ) -> None:
+        for fn in self.events.outcome:
+            fn(core_id, task_id, op, result)
+
+    def _stalled(
+        self, core_id: int, task_id: int | None, op: tuple, block: VersionBlock | None
+    ) -> StallSignal:
+        """The stall of a lookup op whose block is absent or locked."""
+        kind, vaddr, arg = op
+        exact = kind == isa.LOAD_VERSION or kind == isa.LOCK_LOAD_VERSION
+        if block is None:
+            reason = (
+                f"version {arg} not yet created"
+                if exact
+                else f"no version <= {arg} created yet"
+            )
+        elif exact:
+            reason = f"version {arg} locked by {block.locked_by}"
+        else:
+            reason = f"latest version {block.version} locked by {block.locked_by}"
+        sig = StallSignal(vaddr, reason)
+        self._fire(core_id, task_id, op, sig)
+        return sig
+
+    # ------------------------------------------------------------------
     # The seven operations.
     # ------------------------------------------------------------------
 
     def load_version(self, core_id: int, vaddr: int, version: int) -> tuple[int, Any]:
         """LOAD-VERSION: exact-version read (Section II-A)."""
         lat, block, _ = self._locate(core_id, vaddr, version=version)
-        if block is None:
-            raise StallSignal(vaddr, f"version {version} not yet created")
-        if block.locked:
-            raise StallSignal(vaddr, f"version {version} locked by {block.locked_by}")
-        return lat + self._extra(), block.value
+        if block is None or block.locked:
+            raise self._stalled(core_id, None, (isa.LOAD_VERSION, vaddr, version), block)
+        lat += self._extra()
+        if self.events.outcome:
+            self._fire(core_id, None, (isa.LOAD_VERSION, vaddr, version), block.value)
+        return lat, block.value
 
     def load_latest(self, core_id: int, vaddr: int, cap: int) -> tuple[int, tuple[int, Any]]:
         """LOAD-LATEST: highest created version <= cap."""
         lat, block, _ = self._locate(core_id, vaddr, cap=cap)
-        if block is None:
-            raise StallSignal(vaddr, f"no version <= {cap} created yet")
-        if block.locked:
-            raise StallSignal(
-                vaddr, f"latest version {block.version} locked by {block.locked_by}"
-            )
-        return lat + self._extra(), (block.version, block.value)
+        if block is None or block.locked:
+            raise self._stalled(core_id, None, (isa.LOAD_LATEST, vaddr, cap), block)
+        lat += self._extra()
+        result = (block.version, block.value)
+        if self.events.outcome:
+            self._fire(core_id, None, (isa.LOAD_LATEST, vaddr, cap), result)
+        return lat, result
 
     def _allocate_block(self, vaddr: int) -> tuple[int, int]:
         """Allocate a version block, applying backpressure on pressure.
@@ -560,7 +632,9 @@ class OStructureManager:
             shadowed, visited = lst.insert(block)
         except SimulationError as exc:
             self.free_list.release(paddr)
-            raise VersionExistsError(str(exc)) from exc
+            err = VersionExistsError(str(exc))
+            self._fire(core_id, task_id, (isa.STORE_VERSION, vaddr, version, value), err)
+            raise err from exc
         # Walk to the insertion point (sorted mode), then acquire the two
         # cache lines — predecessor and new block — in address order.
         if visited:
@@ -576,6 +650,8 @@ class OStructureManager:
             self._created.setdefault(task_id, []).append((vaddr, version))
         self._cache_version(core_id, vaddr, block)
         self._notify(vaddr)
+        if self.events.outcome:
+            self._fire(core_id, task_id, (isa.STORE_VERSION, vaddr, version, value), None)
         return lat, None
 
     def lock_load_version(
@@ -583,25 +659,29 @@ class OStructureManager:
     ) -> tuple[int, Any]:
         """LOCK-LOAD-VERSION: exact read plus lock."""
         lat, block, _ = self._locate(core_id, vaddr, version=version)
-        if block is None:
-            raise StallSignal(vaddr, f"version {version} not yet created")
-        if block.locked:
-            raise StallSignal(vaddr, f"version {version} locked by {block.locked_by}")
-        return lat + self._lock(core_id, vaddr, block, task_id) + self._extra(), block.value
+        if block is None or block.locked:
+            raise self._stalled(
+                core_id, task_id, (isa.LOCK_LOAD_VERSION, vaddr, version), block
+            )
+        lat += self._lock(core_id, vaddr, block, task_id) + self._extra()
+        if self.events.outcome:
+            self._fire(
+                core_id, task_id, (isa.LOCK_LOAD_VERSION, vaddr, version), block.value
+            )
+        return lat, block.value
 
     def lock_load_latest(
         self, core_id: int, vaddr: int, cap: int, task_id: int
     ) -> tuple[int, tuple[int, Any]]:
         """LOCK-LOAD-LATEST: capped read plus lock."""
         lat, block, _ = self._locate(core_id, vaddr, cap=cap)
-        if block is None:
-            raise StallSignal(vaddr, f"no version <= {cap} created yet")
-        if block.locked:
-            raise StallSignal(
-                vaddr, f"latest version {block.version} locked by {block.locked_by}"
-            )
+        if block is None or block.locked:
+            raise self._stalled(core_id, task_id, (isa.LOCK_LOAD_LATEST, vaddr, cap), block)
         lat += self._lock(core_id, vaddr, block, task_id) + self._extra()
-        return lat, (block.version, block.value)
+        result = (block.version, block.value)
+        if self.events.outcome:
+            self._fire(core_id, task_id, (isa.LOCK_LOAD_LATEST, vaddr, cap), result)
+        return lat, result
 
     def _lock(self, core_id: int, vaddr: int, block: VersionBlock, task_id: int) -> int:
         """Gain exclusive access to the block's line and set locked-by."""
@@ -626,13 +706,17 @@ class OStructureManager:
         pipelining.
         """
         lat, block, _ = self._locate(core_id, vaddr, version=version)
-        if block is None:
-            raise NotLockedError(f"version {version} of 0x{vaddr:x} does not exist")
-        if block.locked_by != task_id:
-            raise NotLockedError(
-                f"task {task_id} does not hold version {version} of 0x{vaddr:x} "
-                f"(locked_by={block.locked_by})"
+        if block is None or block.locked_by != task_id:
+            err = NotLockedError(
+                f"version {version} of 0x{vaddr:x} does not exist"
+                if block is None
+                else f"task {task_id} does not hold version {version} of "
+                f"0x{vaddr:x} (locked_by={block.locked_by})"
             )
+            self._fire(
+                core_id, task_id, (isa.UNLOCK_VERSION, vaddr, version, new_version), err
+            )
+            raise err
         if new_version is not None:
             # Create the renamed copy *before* releasing the lock: the
             # allocation can stall on free-list backpressure, and the
@@ -644,7 +728,12 @@ class OStructureManager:
         lat += self.hierarchy.access(core_id, block.paddr, write=True)
         self._cache_version(core_id, vaddr, block)
         self._notify(vaddr)
-        return lat + self._extra(), None
+        lat += self._extra()
+        if self.events.outcome:
+            self._fire(
+                core_id, task_id, (isa.UNLOCK_VERSION, vaddr, version, new_version), None
+            )
+        return lat, None
 
     # ------------------------------------------------------------------
     # Abort-and-retry rollback (watchdog / fault-injection recovery).
@@ -679,8 +768,8 @@ class OStructureManager:
         """
         # Release locks first: a version the task created *and* locked
         # must be unlocked before the drop below can remove it.  Going
-        # through self.unlock_version keeps the sanitizer's mirror (and
-        # its waiter notification) in the loop.
+        # through self.unlock_version keeps the sanitizer's mirror (the
+        # outcome event) and the waiter notification in the loop.
         for vaddr, lst in list(self.lists.items()):
             for block in list(lst):
                 if block.locked_by == task_id:
@@ -711,8 +800,7 @@ class OStructureManager:
             entry = core_direct.get(vaddr)
             if entry is not None:
                 entry.drop(version)
-        for hook in self.drop_hooks:
-            hook(vaddr, version)
+        self.events.emit("drop", vaddr, version)
         if self._waiters.get(ALLOC_WAIT):
             self._notify(ALLOC_WAIT)
         return True
@@ -735,6 +823,7 @@ class OStructureManager:
         """
         lst = self.lists.pop(vaddr, None)
         if lst is None:
+            self._fire(None, None, ("free_ostructure", vaddr), 0)
             return 0
         if self._waiters.get(vaddr):
             self.lists[vaddr] = lst
@@ -764,6 +853,7 @@ class OStructureManager:
             idx = self._block_index[core_id].get(vaddr >> 6)
             if idx is not None:
                 idx.discard(vaddr)
+        self._fire(None, None, ("free_ostructure", vaddr), count)
         return count
 
     def blocked_waiter_report(self) -> list[str]:

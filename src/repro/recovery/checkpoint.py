@@ -22,17 +22,18 @@ the old state or the new state, never a truncated image (the same
 guarantee the sweep runner's row cache makes, hardened here too).
 
 The :class:`Checkpointer` drives capture from inside a live machine.  It
-wraps ``manager._extra`` (the once-per-versioned-op chokepoint, exactly
-like the fault injector, with which it composes) and, at every multiple
-of ``every``, defers a *marker event* via ``sim.schedule(0, ...)`` so
-the version store is quiescent when the walk happens.  At a marker it
-always does the same three deterministic things — bump
-``stats.checkpoints_reached``, pin the GC's reclaim bound at the current
-version frontier, capture the state — and then either *writes* the image
-(capture mode) or *compares digests* against a surviving image of a
-previous incarnation of the same run (verify mode, used during restore).
-Because both modes schedule the same events and mutate the same state,
-a verified replay is byte-identical to the run that wrote the images.
+subscribes to the machine's ``tick`` event (repro.sim.events: once per
+versioned op, the ordinal the fault injector counts too) and, at every
+multiple of ``every``, defers a *marker event* via
+``sim.schedule(0, ...)`` so the version store is quiescent when the walk
+happens.  At a marker it always does the same three deterministic
+things — bump ``stats.checkpoints_reached``, pin the GC's reclaim bound
+at the current version frontier, capture the state — and then either
+*writes* the image (capture mode) or *compares digests* against a
+surviving image of a previous incarnation of the same run (verify mode,
+used during restore).  Because both modes schedule the same events and
+mutate the same state, a verified replay is byte-identical to the run
+that wrote the images.
 """
 
 from __future__ import annotations
@@ -388,12 +389,12 @@ def find_latest_valid_image(
 class Checkpointer:
     """Captures (or verifies) an epoch checkpoint every N versioned ops.
 
-    Wraps ``manager._extra`` with the same instance-attribute idiom the
-    fault injector uses; when both are attached the checkpointer wraps
-    the injector's wrapper, so the two count the same op ordinals.  The
-    actual marker work is deferred to a fresh delay-0 event because
-    ``_extra`` runs mid-dispatch, while the version store is still being
-    mutated by the op in flight.
+    Subscribes to the ``tick`` event ahead of every other subscriber
+    (the one ordering exception repro.sim.events documents): a marker
+    due on the same ordinal as an injected crash is scheduled before
+    the crash.  The actual marker work is deferred to a fresh delay-0
+    event because the tick fires mid-dispatch, while the version store
+    is still being mutated by the op in flight.
 
     ``verify`` maps marker numbers to images from a previous incarnation
     of the same run; at those markers the checkpointer compares digests
@@ -417,7 +418,7 @@ class Checkpointer:
         self.directory = Path(directory)
         self.every = int(every)
         self.verify = dict(verify or {})
-        #: Info dict fired once through ``machine.recovery_hook`` at the
+        #: Info dict fired once as a ``recovery`` "restore" event at the
         #: first marker (repro.obs span integration for restores).
         self.announce = dict(announce) if announce else None
         self.op_index = 0
@@ -426,27 +427,16 @@ class Checkpointer:
         self.captured: list[int] = []
         self.verified: list[int] = []
         self._marker_pending = False
-        self._detached = False
-        manager = machine.manager
-        # Remember whether _extra was already an instance attribute (the
-        # fault injector's wrapper): detach() then restores the captured
-        # callable; otherwise it deletes ours so the plain class method
-        # shows through again — disabled checkpointing leaves no trace.
-        self._had_instance_extra = "_extra" in vars(manager)
-        self._orig_extra = manager._extra
-        manager._extra = self._extra
+        machine.events.subscribe("tick", self._on_tick, first=True)
         machine.checkpointer = self
 
-    # -- wrapped chokepoint --------------------------------------------------
-
-    def _extra(self) -> int:
+    def _on_tick(self) -> None:
         self.op_index += 1
         if not self._marker_pending and self.op_index % self.every == 0:
             # Defer to a fresh event: the op that brought us here is
             # still mid-dispatch and the store is not yet quiescent.
             self._marker_pending = True
             self.machine.sim.schedule(0, self._at_marker)
-        return self._orig_extra()
 
     # -- marker work ---------------------------------------------------------
 
@@ -458,8 +448,7 @@ class Checkpointer:
         m.stats.checkpoints_reached += 1
         if self.announce is not None:
             info, self.announce = self.announce, None
-            if m.recovery_hook is not None:
-                m.recovery_hook("restore", info)
+            m.events.emit("recovery", "restore", info)
         # Pin the GC's reclaim bound at this epoch's version frontier:
         # nothing live at this marker may be reclaimed until the next
         # marker advances the pin (see repro.ostruct.gc).
@@ -485,15 +474,7 @@ class Checkpointer:
     # -- lifecycle -----------------------------------------------------------
 
     def detach(self) -> None:
-        """Restore the wrapped chokepoint (only if still ours)."""
-        if self._detached:
-            return
-        self._detached = True
-        manager = self.machine.manager
-        if manager._extra == self._extra:
-            if self._had_instance_extra:
-                manager._extra = self._orig_extra
-            else:
-                del manager._extra
-        if getattr(self.machine, "checkpointer", None) is self:
+        """Stop counting ops.  Idempotent."""
+        self.machine.events.unsubscribe("tick", self._on_tick)
+        if self.machine.checkpointer is self:
             self.machine.checkpointer = None

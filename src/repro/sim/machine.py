@@ -55,6 +55,33 @@ def remove_machine_observer(fn: Callable[["Machine"], None]) -> None:
 class Machine:
     """The full simulated platform of Table II plus O-structure support."""
 
+    __slots__ = (
+        "config",
+        "sim",
+        "stats",
+        "hierarchy",
+        "page_table",
+        "heap",
+        "mem",
+        "tracker",
+        "free_list",
+        "gc",
+        "manager",
+        "events",
+        "fused_enabled",
+        "fuse_stats",
+        "cores",
+        "retired_ops",
+        "metrics",
+        "checkpointer",
+        "rwlocks",
+        "_ran",
+        "_submitted",
+        "watchdog",
+        "injector",
+        "sanitizer",
+    )
+
     def __init__(
         self,
         config: MachineConfig | None = None,
@@ -97,6 +124,9 @@ class Machine:
             gc=self.gc,
             stats=self.stats,
         )
+        #: The event channel (repro.sim.events) every observer and
+        #: interposer attaches to; shared with the manager, GC and cores.
+        self.events = self.manager.events
         #: Effective fusion switch the cores read at build time:
         #: ``config.fused`` unless ``REPRO_FUSED`` disables it globally.
         self.fused_enabled = self.config.fused and _fuse_env_enabled()
@@ -107,28 +137,13 @@ class Machine:
         #: Micro-ops retired across all cores; the watchdog's progress
         #: signal (a plain int, bumped on the core retire path).
         self.retired_ops = 0
-        #: Optional ``fn(core, task, op_tuple, latency, stalled)`` called
-        #: for every retired (or stalled) micro-op; see repro.sim.trace.
-        #: Always the *effective* hook the cores call: ``None``, the sole
-        #: registered hook, or a composed dispatcher over all of them.
-        #: Attach via :meth:`add_trace_hook` — multiple consumers (a
-        #: Tracer, the sanitizer, a span recorder) chain in order.
-        self.trace_hook = None
-        self._trace_hooks: list = []
-        self._chained_trace_hook = None
-        #: Optional ``fn(event, task_id, core_id)`` observing the task
-        #: lifecycle; ``event`` is "begin", "end" or "abort" (repro.obs).
-        self.task_hook = None
-        #: Optional ``fn(event, info)`` observing watchdog recoveries;
-        #: ``event`` is "trip", "abort", "kick" or "gave_up" (repro.obs).
-        self.recovery_hook = None
         #: Metrics registry (repro.obs), attached when ``config.metrics``
         #: is set or via ``repro.obs.attach_metrics``.  ``None`` keeps
         #: every instrumented path to a single attribute check.
         self.metrics = None
         #: Epoch checkpointer (repro.recovery), attached externally the
         #: same way metrics are; ``None`` keeps checkpointing at zero
-        #: hot-path cost (it only ever wraps ``manager._extra``).
+        #: hot-path cost (it only subscribes to the ``tick`` event).
         self.checkpointer = None
         #: Every rwlock built through :meth:`new_rwlock`, so state
         #: capture (repro.recovery) can walk them.
@@ -158,8 +173,8 @@ class Machine:
         #: The repro.check sanitizer, when checked mode is on.
         self.sanitizer = None
         if self.config.checked if checked is None else checked:
-            # Imported here: repro.check wraps the manager built above,
-            # and importing it at module scope would be circular.
+            # Imported here: repro.check subscribes to the manager built
+            # above, and importing it at module scope would be circular.
             from ..check.sanitizer import Sanitizer
 
             self.sanitizer = Sanitizer(self, interval=check_interval)
@@ -171,62 +186,6 @@ class Machine:
             attach_metrics(self)
         for observe in _machine_observers:
             observe(self)
-
-    # -- trace-hook chaining ------------------------------------------------------
-
-    def add_trace_hook(self, fn: Callable) -> None:
-        """Register a per-op trace hook; hooks are called in attach order.
-
-        Historically consumers assigned ``machine.trace_hook`` directly,
-        which meant a second consumer silently displaced the first.  The
-        hot path still reads the single ``trace_hook`` attribute (kept as
-        ``None`` / the sole hook / a composed dispatcher), so chaining
-        costs nothing when at most one consumer is attached.  A hook that
-        was assigned directly is absorbed into the chain rather than
-        displaced.  Attaching the same hook twice raises.
-        """
-        current = self.trace_hook
-        if (
-            current is not None
-            and current is not self._chained_trace_hook
-            and current not in self._trace_hooks
-        ):
-            # Absorb a hook installed by direct assignment (legacy API).
-            self._trace_hooks.append(current)
-        if fn in self._trace_hooks:
-            raise SimulationError("trace hook already attached")
-        self._trace_hooks.append(fn)
-        self._rebuild_trace_hook()
-
-    def remove_trace_hook(self, fn: Callable) -> bool:
-        """Unregister ``fn``; True if it was attached (in any order)."""
-        if fn in self._trace_hooks:
-            self._trace_hooks.remove(fn)
-            self._rebuild_trace_hook()
-            return True
-        if self.trace_hook is fn:
-            # Directly assigned, never registered: clear it.
-            self.trace_hook = None
-            return True
-        return False
-
-    def _rebuild_trace_hook(self) -> None:
-        hooks = self._trace_hooks
-        if not hooks:
-            self._chained_trace_hook = None
-            self.trace_hook = None
-        elif len(hooks) == 1:
-            self._chained_trace_hook = None
-            self.trace_hook = hooks[0]
-        else:
-            chain = tuple(hooks)
-
-            def chained(core, task, op_tuple, latency, stalled, _chain=chain):
-                for hook in _chain:
-                    hook(core, task, op_tuple, latency, stalled)
-
-            self._chained_trace_hook = chained
-            self.trace_hook = chained
 
     # -- convenience constructors ------------------------------------------------
 

@@ -16,13 +16,20 @@ import pytest
 from repro import Machine, MachineConfig, Task, Versioned
 from repro.check import CheckViolation
 from repro.check.sanitizer import Sanitizer
-from repro.ostruct.manager import StallSignal
+from repro.ostruct.manager import OStructureManager, StallSignal
 
 
 def small_checked(**kw) -> Machine:
     kw.setdefault("num_cores", 2)
     kw.setdefault("free_list_blocks", 64)
     return Machine(MachineConfig(**kw), checked=True, check_interval=4)
+
+
+def skip_reclaim_cleanup(monkeypatch) -> None:
+    """Break the manager's reaction to GC reclaims (the fault under test)."""
+    monkeypatch.setattr(
+        OStructureManager, "_on_reclaim", lambda self, vaddr, version: None
+    )
 
 
 class TestCleanRuns:
@@ -95,11 +102,12 @@ class TestFaultInjection:
         assert m.manager.load_version(0, addr, 1)[1] == "a"
         return m, addr
 
-    def test_skipped_reclaim_invalidation_caught(self):
-        # THE acceptance-criterion fault: drop the manager's reclaim hook
-        # so GC'd versions linger in compressed lines and the PR-1 memo.
+    def test_skipped_reclaim_invalidation_caught(self, monkeypatch):
+        # THE acceptance-criterion fault: skip the manager's reclaim
+        # cleanup so GC'd versions linger in compressed lines and the
+        # PR-1 memo.
         m, addr = self._primed_machine()
-        m.gc.reclaim_hooks.remove(m.manager._on_reclaim)
+        skip_reclaim_cleanup(monkeypatch)
         m.gc.start_phase()  # no live tasks: reclaims v1 and v2 at once
         assert m.stats.gc_reclaimed == 2
         with pytest.raises(CheckViolation) as ei:
@@ -107,11 +115,11 @@ class TestFaultInjection:
         assert ei.value.kind == "divergence"
         assert any("does not exist" in p for p in ei.value.problems)
 
-    def test_skipped_reclaim_invalidation_fails_invariants_too(self):
+    def test_skipped_reclaim_invalidation_fails_invariants_too(self, monkeypatch):
         # Even before any load, the stale compressed entry (and memo)
         # violate the structural invariants.
         m, addr = self._primed_machine()
-        m.gc.reclaim_hooks.remove(m.manager._on_reclaim)
+        skip_reclaim_cleanup(monkeypatch)
         m.gc.start_phase()
         with pytest.raises(CheckViolation) as ei:
             m.sanitizer.check_now()
@@ -160,12 +168,13 @@ class TestReporting:
         m = small_checked()
         addr = m.heap.alloc_versioned(4)
         m.manager.store_version(0, addr, 1, "a")
-        m.gc.reclaim_hooks.remove(m.manager._on_reclaim)
-        m.manager.store_version(0, addr, 2, "b")
-        m.manager.store_version(0, addr, 3, "c")
-        m.gc.start_phase()
-        with pytest.raises(CheckViolation) as ei:
-            m.manager.load_version(0, addr, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            skip_reclaim_cleanup(mp)
+            m.manager.store_version(0, addr, 2, "b")
+            m.manager.store_version(0, addr, 3, "c")
+            m.gc.start_phase()
+            with pytest.raises(CheckViolation) as ei:
+                m.manager.load_version(0, addr, 1)
         return ei.value
 
     def test_report_structure(self):
@@ -173,8 +182,9 @@ class TestReporting:
         text = v.render()
         assert "sanitizer violation [divergence]" in text
         assert "op:" in text
-        # Direct manager calls retire no core ops, so the tail is empty
-        # here; the wait-graph post-mortem is always attached.
+        # The tail lists the checked ops that led here, direct manager
+        # calls included; the wait-graph post-mortem is always attached.
+        assert "trace tail:" in text
         assert "wait graph" in text
         assert "no blocked cores" in text
 
@@ -233,15 +243,15 @@ class TestInstallUninstall:
         m = small_checked()
         addr = m.heap.alloc_versioned(4)
         mgr = m.manager
-        assert "load_version" in vars(mgr)  # instance-attribute wrapper
+        assert m.events.outcome == (m.sanitizer._on_outcome,)
         m.sanitizer.uninstall()
-        assert "load_version" not in vars(mgr)
-        # Back to the plain class methods; no oracle mirroring happens.
+        assert m.events.outcome == ()
+        # Nothing observes the manager any more; no oracle mirroring.
         mirrored = m.sanitizer.oracle.ops_mirrored
         mgr.store_version(0, addr, 1, "a")
         assert m.sanitizer.oracle.ops_mirrored == mirrored
-        assert m.sanitizer._on_reclaim not in m.gc.reclaim_hooks
-        assert m.trace_hook is None
+        assert m.sanitizer._on_reclaim not in m.events.reclaim
+        assert m.events.op == ()
 
     def test_checked_flag_via_config(self):
         m = Machine(MachineConfig(num_cores=2, checked=True))

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Machine, MachineConfig, Task, Versioned
+from repro import Machine, MachineConfig, Sanitizer, Task, Tracer, Versioned
 from repro.errors import ReproError
-from repro.obs import MetricsRegistry, attach_metrics
+from repro.obs import MetricsRegistry, SpanRecorder, attach_metrics
 from repro.obs.metrics import Histogram
 from repro.ostruct import isa
 
@@ -152,11 +152,13 @@ class TestAttachment:
 
 
 def test_metrics_do_not_change_simulated_timing():
-    def run(metrics: bool) -> int:
+    def run(metrics: bool, observers=()):
         m = Machine(MachineConfig(
             num_cores=2, metrics=metrics,
             free_list_blocks=8, gc_watermark=4, refill_blocks=8,
         ))
+        for attach in observers:
+            attach(m)
         cell = Versioned(m.heap.alloc_versioned(1))
 
         def prog(tid):
@@ -165,9 +167,15 @@ def test_metrics_do_not_change_simulated_timing():
                 yield cell.load_ver(tid - 1)
 
         m.submit([Task(i, prog) for i in range(1, 20)])
-        return m.run().cycles
+        return m.run()
 
-    assert run(False) == run(True)
+    assert run(False).cycles == run(True).cycles
+    # Every pure observer at once, in two attach orders: the whole
+    # stats row stays that of a bare run.
+    everyone = (attach_metrics, Sanitizer, SpanRecorder, Tracer)
+    bare = run(False).snapshot()
+    for order in (everyone, everyone[::-1]):
+        assert run(False, order).snapshot() == bare
 
 
 def test_ostruct_error_types_unaffected_by_metrics():

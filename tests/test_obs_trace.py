@@ -12,6 +12,7 @@ from repro.obs import SpanRecorder, chrome_trace, critical_path, dependency_edge
 from repro.obs.critpath import format_critical_path
 from repro.obs.perfetto import write_chrome_trace
 from repro.ostruct import isa
+from repro.sim.events import KINDS
 from repro.sim.trace import Tracer
 
 
@@ -164,29 +165,24 @@ class TestSpanRecorder:
         )
         assert any(e.event == "abort" for e in rec.recovery_events)
 
-    def test_second_recorder_rejected(self):
-        m, _ = simple_machine()
-        SpanRecorder(m)
-        with pytest.raises(RuntimeError):
-            SpanRecorder(m)
+    def test_second_recorder_coexists(self):
+        m, _ = chain_machine()
+        first = SpanRecorder(m)
+        second = SpanRecorder(m)
+        m.run()
+        assert first.task_spans and first.task_spans == second.task_spans
+        assert first.produces == second.produces
+        assert first.consumes == second.consumes
 
     def test_detach_restores_all_hooks(self):
         m, cell = simple_machine()
-        orig_load_latest = m.manager.load_latest
-        orig_lock_load_latest = m.manager.lock_load_latest
         rec = SpanRecorder(m)
         rec.detach()
         rec.detach()  # idempotent
-        assert m.trace_hook is None
-        assert m.task_hook is None
-        assert m.recovery_hook is None
-        assert m.gc.phase_hooks == []
-        # Bound methods compare equal when they rebind the same function;
-        # detach removed our instance-attribute wrappers entirely.
-        assert "load_latest" not in vars(m.manager)
-        assert m.manager.load_latest == orig_load_latest
-        assert m.manager.lock_load_latest == orig_lock_load_latest
-        SpanRecorder(m)  # slot is free again
+        # Every kind is empty again: nothing of the recorder is left.
+        for kind in KINDS:
+            assert getattr(m.events, kind) == (), kind
+        SpanRecorder(m)  # attaches again
 
     def test_coexists_with_user_tracer(self):
         m, cell = simple_machine()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro import Machine, MachineConfig, Task, Versioned
 from repro.ostruct import isa
 from repro.sim.trace import TraceEvent, Tracer
@@ -180,7 +182,7 @@ def test_accounting_invariant_holds_under_eviction_and_filters():
 
 
 # ---------------------------------------------------------------------------
-# Trace-hook chaining (multiple consumers on one machine).
+# Several ``op`` subscribers on one machine.
 # ---------------------------------------------------------------------------
 
 
@@ -204,11 +206,11 @@ class TestHookChaining:
             m, cell, conv = simple_machine()
             tracers = [Tracer(m), Tracer(m)]
             tracers[order[0]].detach()
-            # The survivor is the sole hook again (no dispatcher shell).
+            # The survivor is the sole subscriber again.
             survivor = tracers[order[1]]
-            assert m.trace_hook is survivor._hook
+            assert m.events.op == (survivor._record,)
             survivor.detach()
-            assert m.trace_hook is None
+            assert m.events.op == ()
 
     def test_survivor_still_records_after_peer_detach(self):
         m, cell, conv = simple_machine()
@@ -232,9 +234,9 @@ class TestHookChaining:
         m, cell, conv = simple_machine()
         tracer = Tracer(m)
         with pytest.raises(SimulationError):
-            m.add_trace_hook(tracer._hook)
-        # The failed attach did not corrupt the chain.
-        assert m.trace_hook is tracer._hook
+            m.events.subscribe("op", tracer._record)
+        # The failed attach did not corrupt the subscriber tuple.
+        assert m.events.op == (tracer._record,)
 
     def test_legacy_direct_assignment_is_absorbed(self):
         m, cell, conv = simple_machine()
@@ -243,8 +245,10 @@ class TestHookChaining:
         def legacy(core, task, op_tuple, latency, stalled):
             seen.append(op_tuple[0])
 
-        m.trace_hook = legacy  # old API: direct assignment
-        tracer = Tracer(m)  # must chain, not displace
+        with pytest.raises(AttributeError):
+            m.trace_hook = legacy  # the old direct-assignment API is gone
+        m.events.subscribe("op", legacy)
+        tracer = Tracer(m)  # must coexist, not displace
 
         def prog(tid):
             yield isa.compute(2)
@@ -253,9 +257,9 @@ class TestHookChaining:
         m.run()
         assert seen == ["compute"]
         assert len(tracer) == 1
-        assert m.remove_trace_hook(legacy)
+        assert m.events.unsubscribe("op", legacy)
         tracer.detach()
-        assert m.trace_hook is None
+        assert m.events.op == ()
 
     def test_remove_directly_assigned_hook_without_chain(self):
         m, cell, conv = simple_machine()
@@ -263,10 +267,10 @@ class TestHookChaining:
         def legacy(core, task, op_tuple, latency, stalled):
             pass
 
-        m.trace_hook = legacy
-        assert m.remove_trace_hook(legacy)
-        assert m.trace_hook is None
-        assert not m.remove_trace_hook(legacy)  # already gone
+        m.events.subscribe("op", legacy)
+        assert m.events.unsubscribe("op", legacy)
+        assert m.events.op == ()
+        assert not m.events.unsubscribe("op", legacy)  # already gone
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +311,7 @@ def test_accounting_invariant_property(
         if fired == detach_after:
             tracer.detach()
 
-    m.add_trace_hook(checking_hook)
+    m.events.subscribe("op", checking_hook)
 
     def prog(tid):
         for i in range(n_ops):
