@@ -33,7 +33,7 @@ def scale():
 def runner():
     """Sweep runner for the bench suite.
 
-    Parallelism follows ``REPRO_JOBS`` (default: all host cores); the
+    Parallelism uses all host cores; the
     on-disk result cache is force-disabled so the timed numbers always
     measure simulation, never a cache read.
     """

@@ -22,10 +22,9 @@ Usage::
     python -m repro serve --self-bench --seed 0       # in-process bench
     python -m repro loadgen --port 7270 --mix write_heavy
 
-Sweeps fan out over a process pool (``--jobs`` / ``REPRO_JOBS``, default:
-all host cores) and memoise finished runs under ``.repro_cache/`` so a
-re-run only simulates what changed (``--no-cache`` / ``REPRO_CACHE=0`` to
-disable).
+Sweeps fan out over a process pool (``--jobs``, default: all host cores)
+and memoise finished runs under ``.repro_cache/`` so a re-run only
+simulates what changed (``--no-cache`` to disable).
 
 ``--check`` runs every simulation with ``MachineConfig(checked=True)``:
 the :mod:`repro.check` sanitizer diffs each versioned op against the
@@ -153,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="parallel simulation workers (default: REPRO_JOBS or all host cores)",
+        help="parallel simulation workers (default: all host cores)",
     )
     parser.add_argument(
         "--no-cache",
@@ -175,14 +174,14 @@ def main(argv: list[str] | None = None) -> int:
         metavar="SECONDS",
         help=(
             "per-run wall-clock timeout; hung workers are killed and "
-            "retried (default: REPRO_RUN_TIMEOUT or none)"
+            "retried (default: none)"
         ),
     )
     parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="result cache location (default: REPRO_CACHE_DIR or .repro_cache/)",
+        help="result cache location (default: .repro_cache/)",
     )
     parser.add_argument(
         "--checkpoint-every",
@@ -191,8 +190,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="OPS",
         help=(
             "checkpoint each in-flight simulation every N versioned ops "
-            "so --resume survives kill -9 mid-row (default: "
-            "REPRO_CKPT_EVERY or off; images under REPRO_CKPT_DIR)"
+            "so --resume survives kill -9 mid-row (default: off; "
+            "images under the cache dir)"
         ),
     )
     parser.add_argument(
@@ -261,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         runner = SweepRunner(
             jobs=args.jobs,
-            use_cache=True if args.resume else (False if args.no_cache else None),
+            use_cache=not args.no_cache,
             cache_dir=args.cache_dir,
             timeout=args.timeout,
             resume=args.resume,

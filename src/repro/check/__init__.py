@@ -13,12 +13,13 @@ batched wake-ups, cached sweeps, ...).  It has two halves:
   memo validity, free-list/GC disjointness, GC reclaim safety) validated
   at configurable checkpoints.
 
-Enable it with ``MachineConfig(checked=True)`` (or ``Machine(cfg,
-checked=True)``), or from the CLI with ``python -m repro <target>
---check``.  Violations raise :class:`~repro.check.sanitizer.CheckViolation`
-carrying a structured report (the Tracer tail plus the wait-graph
-post-mortem).  :mod:`repro.check.stress` drives random ``opgen``
-schedules through every workload under the sanitizer.
+Enable it with ``MachineConfig(checked=True)``, by attaching
+``Sanitizer(machine, interval=N)`` to a built machine, or from the CLI
+with ``python -m repro <target> --check``.  Violations raise
+:class:`~repro.check.sanitizer.CheckViolation` carrying a structured
+report (the Tracer tail plus the wait-graph post-mortem).
+:mod:`repro.check.stress` drives random ``opgen`` schedules through
+every workload under the sanitizer.
 """
 
 from .invariants import check_invariants

@@ -106,7 +106,11 @@ def _rebuild_violation(kind, problems, op, cycle, ops_checked, trace_tail, post_
 
 
 class Sanitizer:
-    """Differential + invariant checker wired into one machine."""
+    """Differential + invariant checker wired into one machine.
+
+    Registers itself as ``machine.sanitizer``, whose terminal sweep
+    ``Machine.run`` performs.
+    """
 
     def __init__(
         self,
@@ -125,6 +129,7 @@ class Sanitizer:
         #: The last ``trace_tail`` outcomes seen, for violation reports:
         #: ``(cycle, core_id, task_id, op, result)``.
         self.tail: deque[tuple] = deque(maxlen=trace_tail)
+        machine.sanitizer = self
         events = machine.events
         events.subscribe("outcome", self._on_outcome)
         events.subscribe("reclaim", self._on_reclaim)

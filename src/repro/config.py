@@ -17,7 +17,6 @@ Sections III-IV of the paper.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
@@ -39,20 +38,6 @@ def _require(cond: bool, msg: str) -> None:
 
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
-
-
-def _watchdog_cycles_default() -> int:
-    """Watchdog period from ``REPRO_WATCHDOG_CYCLES`` (0 = disabled)."""
-    raw = os.environ.get("REPRO_WATCHDOG_CYCLES", "").strip()
-    if not raw:
-        return 0
-    try:
-        cycles = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_WATCHDOG_CYCLES must be an integer, got {raw!r}"
-        ) from None
-    return max(0, cycles)
 
 
 @dataclass(frozen=True)
@@ -131,9 +116,8 @@ class MachineConfig:
     #: core retires an operation for this many cycles while cores are
     #: blocked, the watchdog runs ``waitgraph.find_cycles`` and recovers
     #: by abort-and-retry of a victim task (lock cycles) or by
-    #: re-delivering parked wake-ups (lost-wake hangs).  Defaults from
-    #: ``REPRO_WATCHDOG_CYCLES``.
-    watchdog_cycles: int = field(default_factory=_watchdog_cycles_default)
+    #: re-delivering parked wake-ups (lost-wake hangs).
+    watchdog_cycles: int = 0
     #: Abort-and-retry attempts per task before the watchdog gives up
     #: and lets the drain-time DeadlockError report the hang.
     watchdog_retries: int = 4
@@ -163,9 +147,7 @@ class MachineConfig:
     #: fast-path interpreter, retiring a whole run in one engine event.
     #: Simulated behaviour — ``SimStats``, traces, metric snapshots — is
     #: byte-identical either way (enforced by tests/test_fuse.py); this
-    #: knob only trades host time for per-op debuggability.  The
-    #: ``REPRO_FUSED=0`` environment escape hatch disables fusion
-    #: globally without touching config identity.
+    #: knob only trades host time for per-op debuggability.
     fused: bool = True
 
     def __post_init__(self) -> None:

@@ -11,8 +11,8 @@ experiment builds its full list of :class:`~repro.harness.runner.RunSpec`
 up front (in paper order) and hands it to a
 :class:`~repro.harness.runner.SweepRunner`, which fans the independent
 runs out over a process pool and memoises finished runs on disk.  Pass
-``runner=`` to control parallelism/caching; the default runner reads
-``REPRO_JOBS`` and ``REPRO_CACHE`` from the environment.  Because every
+``runner=`` to control parallelism/caching; the default runner uses
+every host core and the ``.repro_cache/`` directory.  Because every
 run is seeded and self-contained, the assembled rows are bit-identical
 whether the sweep executes serially, in parallel, or from cache.
 """

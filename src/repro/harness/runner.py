@@ -7,15 +7,15 @@ depend on where (or in which process) it runs.  That makes the sweep
 embarrassingly parallel and memoisable:
 
 - :class:`SweepRunner` fans a list of :class:`RunSpec` out over a
-  ``ProcessPoolExecutor`` (worker count from ``REPRO_JOBS``, default
-  ``os.cpu_count()``) and reassembles results in the order the specs were
-  given — the paper order — so parallel output is **bit-identical** to
-  the serial path.
+  ``ProcessPoolExecutor`` (``jobs`` workers, default ``os.cpu_count()``)
+  and reassembles results in the order the specs were given — the
+  paper order — so parallel output is **bit-identical** to the serial
+  path.
 - :class:`ResultCache` memoises finished runs as JSON under
   ``.repro_cache/<code-version>/``, keyed by a stable hash of the spec.
   Re-running a figure only simulates what changed; editing any file under
   ``src/repro`` changes the code-version component and invalidates the
-  whole cache.  Escape hatches: ``REPRO_CACHE=0`` or ``--no-cache``.
+  whole cache.  Escape hatch: ``use_cache=False`` / ``--no-cache``.
 - Duplicate specs inside one sweep are deduplicated before execution
   (several figures reuse their baseline run at multiple points).
 
@@ -43,13 +43,9 @@ from typing import Any, Iterator, Sequence
 
 from ..errors import ConfigError, SweepFailure
 from ..recovery.checkpoint import atomic_write_bytes
-from ..sim.fuse import env_enabled as _fused_env_enabled
 
 #: Default cache directory (under the current working directory).
 CACHE_DIR_NAME = ".repro_cache"
-
-#: Default checkpoint-image directory for ``checkpoint_every`` sweeps.
-CKPT_DIR_NAME = ".repro_ckpt"
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +156,20 @@ def code_version() -> str:
 # ---------------------------------------------------------------------------
 
 
+def _spec_digest(spec: RunSpec) -> str:
+    """Stable file-name key of ``spec``: its cached row and its images."""
+    return hashlib.sha256(repr(spec).encode()).hexdigest()[:32]
+
+
 class ResultCache:
     """JSON result files under ``<root>/<code-version>/<spec-hash>.json``."""
 
     def __init__(self, root: str | Path | None = None, version: str | None = None):
-        env_root = os.environ.get("REPRO_CACHE_DIR")
-        self.root = Path(root if root is not None else (env_root or CACHE_DIR_NAME))
+        self.root = Path(root if root is not None else CACHE_DIR_NAME)
         self.version = version or code_version()
 
     def path_for(self, spec: RunSpec) -> Path:
-        digest = hashlib.sha256(repr(spec).encode()).hexdigest()[:32]
-        return self.root / self.version / f"{digest}.json"
+        return self.root / self.version / f"{_spec_digest(spec)}.json"
 
     def load(self, spec: RunSpec) -> RunResult | None:
         try:
@@ -251,74 +250,6 @@ class RunnerStats:
         return text
 
 
-def _jobs_from_env() -> int:
-    raw = os.environ.get("REPRO_JOBS")
-    if raw:
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ConfigError(f"REPRO_JOBS must be an integer, got {raw!r}") from None
-        if jobs < 1:
-            raise ConfigError("REPRO_JOBS must be >= 1")
-        return jobs
-    return os.cpu_count() or 1
-
-
-def _cache_enabled_by_env() -> bool:
-    return os.environ.get("REPRO_CACHE", "1").strip().lower() not in (
-        "0", "false", "off", "no",
-    )
-
-
-def _timeout_from_env() -> float | None:
-    raw = os.environ.get("REPRO_RUN_TIMEOUT")
-    if not raw:
-        return None
-    try:
-        timeout = float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_RUN_TIMEOUT must be a number of seconds, got {raw!r}"
-        ) from None
-    if timeout <= 0:
-        raise ConfigError("REPRO_RUN_TIMEOUT must be > 0")
-    return timeout
-
-
-def _ckpt_every_from_env() -> int | None:
-    raw = os.environ.get("REPRO_CKPT_EVERY")
-    if not raw:
-        return None
-    try:
-        every = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_CKPT_EVERY must be an integer, got {raw!r}"
-        ) from None
-    if every < 1:
-        raise ConfigError("REPRO_CKPT_EVERY must be >= 1")
-    return every
-
-
-def _ckpt_dir_from_env() -> str:
-    return os.environ.get("REPRO_CKPT_DIR") or CKPT_DIR_NAME
-
-
-def _retries_from_env() -> int:
-    raw = os.environ.get("REPRO_RUN_RETRIES")
-    if not raw:
-        return 2
-    try:
-        retries = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_RUN_RETRIES must be an integer, got {raw!r}"
-        ) from None
-    if retries < 0:
-        raise ConfigError("REPRO_RUN_RETRIES must be >= 0")
-    return retries
-
-
 def _shutdown_pool(pool: ProcessPoolExecutor, *, kill: bool) -> None:
     """Tear a pool down without waiting on wedged or dead workers."""
     if kill:
@@ -358,9 +289,7 @@ def execute_spec_checkpointed(
     from ..recovery.checkpoint import Checkpointer, load_images
     from ..sim.machine import add_machine_observer, remove_machine_observer
 
-    spec_dir = (
-        Path(root) / hashlib.sha256(repr(spec).encode()).hexdigest()[:32]
-    )
+    spec_dir = Path(root) / _spec_digest(spec)
     images, _corrupt = load_images(spec_dir, every=every)
     state: dict = {}
 
@@ -385,32 +314,27 @@ def execute_spec_checkpointed(
 class SweepRunner:
     """Executes sweeps of :class:`RunSpec` with caching and a process pool.
 
-    ``jobs`` defaults to ``REPRO_JOBS`` or the host core count; caching
-    defaults to on unless ``REPRO_CACHE`` disables it.  Results are always
-    returned in spec order, so output is independent of worker count.
+    ``jobs`` defaults to the host core count; caching defaults to on.
+    Results are always returned in spec order, so output is independent
+    of worker count.
 
     The parallel path is crash-tolerant: every run carries an optional
-    wall-clock ``timeout`` (``REPRO_RUN_TIMEOUT``), a worker that dies or
-    hangs gets its pool rebuilt and its spec retried with exponential
-    backoff up to ``retries`` times (``REPRO_RUN_RETRIES``, default 2),
-    and completed rows are persisted to the cache *as they finish* — so
-    an interrupted or crashed sweep resumes from its survivors
-    (``resume=True`` / ``--resume``) instead of starting over.
+    wall-clock ``timeout``, a worker that dies or hangs gets its pool
+    rebuilt and its spec retried with exponential backoff up to
+    ``retries`` times (default 2), and completed rows are persisted to
+    the cache *as they finish* — so an interrupted or crashed sweep
+    resumes from its survivors (``resume=True`` / ``--resume``) instead
+    of starting over.
 
-    ``checkpoint_every`` (``REPRO_CKPT_EVERY``) additionally checkpoints
-    each *in-flight* simulation every N versioned ops into per-spec
-    image directories under ``checkpoint_dir`` (``REPRO_CKPT_DIR``,
-    default ``.repro_ckpt/``): a worker — or the whole parent — killed
-    mid-row leaves its images behind, and the resumed sweep replays that
-    row under digest verification (see :mod:`repro.recovery`).
+    ``checkpoint_every`` additionally checkpoints each *in-flight*
+    simulation every N versioned ops into a per-spec image directory,
+    ``<spec-digest>/`` beside the row it will produce in the cache
+    namespace below: a worker — or the whole parent — killed mid-row
+    leaves its images behind, and the resumed sweep replays that row
+    under digest verification (see :mod:`repro.recovery`).
     Checkpointed rows live in their own cache namespace
     (``<code-version>-ckpt<N>``) because the epoch pin changes GC
     dynamics; disabled (the default), checkpointing costs nothing.
-    Likewise, runs under the ``REPRO_FUSED=0`` escape hatch append
-    ``-nofuse`` (composable, e.g. ``<code-version>-ckpt500-nofuse``):
-    the per-op tier is byte-identical to the fused one by contract, but
-    rows produced while *verifying* that contract must never alias the
-    rows they are checked against.
 
     Failures the worker *reports* (a raised simulation error) are
     deterministic and re-raise immediately; only process-level failures
@@ -423,41 +347,29 @@ class SweepRunner:
     def __init__(
         self,
         jobs: int | None = None,
-        use_cache: bool | None = None,
+        use_cache: bool = True,
         cache_dir: str | Path | None = None,
         *,
         timeout: float | None = None,
-        retries: int | None = None,
+        retries: int = 2,
         retry_backoff: float = 0.05,
         resume: bool = False,
         checkpoint_every: int | None = None,
-        checkpoint_dir: str | Path | None = None,
     ):
-        self.jobs = jobs if jobs is not None else _jobs_from_env()
+        self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        self.timeout = timeout if timeout is not None else _timeout_from_env()
+        self.timeout = timeout
         if self.timeout is not None and self.timeout <= 0:
             raise ConfigError("timeout must be > 0")
-        self.retries = retries if retries is not None else _retries_from_env()
+        self.retries = retries
         if self.retries < 0:
             raise ConfigError("retries must be >= 0")
         self.retry_backoff = retry_backoff
         self.resume = resume
-        self.checkpoint_every = (
-            checkpoint_every
-            if checkpoint_every is not None
-            else _ckpt_every_from_env()
-        )
+        self.checkpoint_every = checkpoint_every
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
-        self.checkpoint_dir = str(
-            checkpoint_dir if checkpoint_dir is not None else _ckpt_dir_from_env()
-        )
-        if resume:
-            use_cache = True  # resuming *is* reading the partial cache
-        elif use_cache is None:
-            use_cache = _cache_enabled_by_env()
         # The epoch pin makes checkpointed runs reclaim (slightly) less
         # aggressively than plain runs — same correctness, different
         # stats — so checkpointed rows get their own cache namespace
@@ -465,16 +377,15 @@ class SweepRunner:
         version = code_version()
         if self.checkpoint_every is not None:
             version = f"{version}-ckpt{self.checkpoint_every}"
-        # Execution tier: ``config.fused`` is part of the spec repr and
-        # therefore of the row digest, but the ``REPRO_FUSED`` escape
-        # hatch flips the tier *without* touching config identity.  Rows
-        # produced under it get their own namespace — the tiers are
-        # byte-identical by contract, but the hatch exists precisely for
-        # bisecting a suspected fusion bug, and a bisection that silently
-        # reads the other tier's cached rows would prove nothing.
-        if not _fused_env_enabled():
-            version = f"{version}-nofuse"
-        self.cache = ResultCache(cache_dir, version=version) if use_cache else None
+        cache = ResultCache(cache_dir, version=version)
+        #: Where in-flight checkpoint images go: the cache namespace the
+        #: finished rows land in, one ``<spec-digest>/`` beside each
+        #: ``<spec-digest>.json``, so sweeps with different cache dirs
+        #: never share (or delete) each other's images.
+        self.checkpoint_root = cache.root / cache.version
+        if resume:
+            use_cache = True  # resuming *is* reading the partial cache
+        self.cache = cache if use_cache else None
         if resume and self.cache is not None:
             self.cache.clean_stale_tmp()
         self.stats = RunnerStats()
@@ -531,7 +442,7 @@ class SweepRunner:
     def _execute_one(self, spec: RunSpec) -> RunResult:
         if self.checkpoint_every is not None:
             return execute_spec_checkpointed(
-                spec, self.checkpoint_dir, self.checkpoint_every
+                spec, str(self.checkpoint_root), self.checkpoint_every
             )
         return execute_spec(spec)
 
@@ -540,7 +451,7 @@ class SweepRunner:
             return pool.submit(
                 execute_spec_checkpointed,
                 spec,
-                self.checkpoint_dir,
+                str(self.checkpoint_root),
                 self.checkpoint_every,
             )
         return pool.submit(execute_spec, spec)

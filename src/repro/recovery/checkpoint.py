@@ -273,11 +273,12 @@ class Checkpoint:
 
         state = capture_state(machine)
         pin = machine.gc.epoch_pin
+        ckpt = machine.checkpointer
         return cls(
             marker=marker,
             every=every,
-            op_index=getattr(machine, "checkpointer", None).op_index
-            if getattr(machine, "checkpointer", None) is not None
+            op_index=ckpt.op_index
+            if ckpt is not None
             else machine.stats.versioned_ops,
             cycle=machine.sim.now,
             digest=state_digest(state),

@@ -32,7 +32,7 @@ from ..runtime.scheduler import StaticScheduler
 from ..runtime.task import Task, TaskTracker
 from .core import Core
 from .engine import Simulator
-from .fuse import FuseStats, env_enabled as _fuse_env_enabled
+from .fuse import FuseStats
 from .hierarchy import MemoryHierarchy
 from .stats import SimStats
 
@@ -68,7 +68,6 @@ class Machine:
         "gc",
         "manager",
         "events",
-        "fused_enabled",
         "fuse_stats",
         "cores",
         "retired_ops",
@@ -82,16 +81,7 @@ class Machine:
         "sanitizer",
     )
 
-    def __init__(
-        self,
-        config: MachineConfig | None = None,
-        *,
-        checked: bool | None = None,
-        check_interval: int = 256,
-    ):
-        """``checked`` enables the :mod:`repro.check` sanitizer (defaults
-        to ``config.checked``); ``check_interval`` is the number of
-        versioned ops between structural-invariant checkpoints."""
+    def __init__(self, config: MachineConfig | None = None):
         self.config = config or MachineConfig()
         self.sim = Simulator()
         self.stats = SimStats()
@@ -127,9 +117,6 @@ class Machine:
         #: The event channel (repro.sim.events) every observer and
         #: interposer attaches to; shared with the manager, GC and cores.
         self.events = self.manager.events
-        #: Effective fusion switch the cores read at build time:
-        #: ``config.fused`` unless ``REPRO_FUSED`` disables it globally.
-        self.fused_enabled = self.config.fused and _fuse_env_enabled()
         #: Fusion telemetry (repro.sim.fuse) — host-side only, kept off
         #: ``SimStats`` so fused and unfused runs stay byte-identical.
         self.fuse_stats = FuseStats()
@@ -170,14 +157,15 @@ class Machine:
             from ..faults.injector import FaultInjector
 
             self.injector = FaultInjector(self, self.config.faults)
-        #: The repro.check sanitizer, when checked mode is on.
+        #: The repro.check sanitizer, built when ``config.checked`` is
+        #: set or attached later with ``Sanitizer(machine, interval=)``.
         self.sanitizer = None
-        if self.config.checked if checked is None else checked:
+        if self.config.checked:
             # Imported here: repro.check subscribes to the manager built
             # above, and importing it at module scope would be circular.
             from ..check.sanitizer import Sanitizer
 
-            self.sanitizer = Sanitizer(self, interval=check_interval)
+            Sanitizer(self)
         if self.config.metrics:
             # Imported here: repro.obs instruments the subsystems built
             # above, and the sim layer must not depend on it statically.

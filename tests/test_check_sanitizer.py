@@ -22,7 +22,9 @@ from repro.ostruct.manager import OStructureManager, StallSignal
 def small_checked(**kw) -> Machine:
     kw.setdefault("num_cores", 2)
     kw.setdefault("free_list_blocks", 64)
-    return Machine(MachineConfig(**kw), checked=True, check_interval=4)
+    m = Machine(MachineConfig(**kw))
+    Sanitizer(m, interval=4)
+    return m
 
 
 def skip_reclaim_cleanup(monkeypatch) -> None:
@@ -258,6 +260,3 @@ class TestInstallUninstall:
         assert m.sanitizer is not None
         m2 = Machine(MachineConfig(num_cores=2))
         assert m2.sanitizer is None
-        # Explicit argument overrides the config either way.
-        m3 = Machine(MachineConfig(num_cores=2, checked=True), checked=False)
-        assert m3.sanitizer is None

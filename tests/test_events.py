@@ -27,7 +27,7 @@ def _idle_task(tid):
 
 class TestAttachOrder:
     def test_recorder_after_sanitizer_survives_uninstall(self):
-        m = Machine(MachineConfig(num_cores=2), checked=True)
+        m = Machine(MachineConfig(num_cores=2, checked=True))
         SpanRecorder(m)
         m.sanitizer.uninstall()
         addr = m.heap.alloc_versioned(1)

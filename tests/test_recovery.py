@@ -586,7 +586,6 @@ class TestSweepResume:
         # it has written at least one checkpoint image; the resumed sweep
         # replays under digest verification and lands on the same row.
         cache = tmp_path / "cache"
-        ckpt = tmp_path / "ckpt"
         script = (
             "import sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
@@ -597,16 +596,17 @@ class TestSweepResume:
             "spec = irregular_spec('rb_tree', TABLE2, get_scale('quick'),\n"
             "                      'small', '4R-1W', 'versioned', 2, 6000)\n"
             "runner = SweepRunner(cache_dir=sys.argv[2], jobs=1,\n"
-            "                     checkpoint_every=32, checkpoint_dir=sys.argv[3])\n"
+            "                     checkpoint_every=32)\n"
             "runner.run([spec])\n"
         )
+        images = f"{code_version()}-ckpt32/*/ckpt-*.img"
         proc = subprocess.Popen(
-            [sys.executable, "-c", script, SRC, str(cache), str(ckpt)],
+            [sys.executable, "-c", script, SRC, str(cache)],
             env=_subprocess_env(),
         )
         try:
             deadline = time.monotonic() + 60.0
-            while not list(ckpt.glob("*/ckpt-*.img")):
+            while not list(cache.glob(images)):
                 if proc.poll() is not None:
                     pytest.fail("sweep finished before any image appeared")
                 assert time.monotonic() < deadline, "no checkpoint image in time"
@@ -615,26 +615,24 @@ class TestSweepResume:
             proc.send_signal(signal.SIGKILL)
             proc.wait()
         assert proc.returncode == -signal.SIGKILL
-        assert list(ckpt.glob("*/ckpt-*.img")), "images must survive the kill"
+        assert list(cache.glob(images)), "images must survive the kill"
 
         spec = irregular_spec(
             "rb_tree", TABLE2, get_scale("quick"), "small", "4R-1W",
             "versioned", 2, 6000,
         )
         clean = SweepRunner(
-            cache_dir=tmp_path / "clean-cache", jobs=1,
-            checkpoint_every=32, checkpoint_dir=tmp_path / "clean-ckpt",
+            cache_dir=tmp_path / "clean-cache", jobs=1, checkpoint_every=32
         )
         reference = [r.to_json() for r in clean.run([spec])]
 
         resumed = SweepRunner(
-            cache_dir=cache, jobs=1, resume=True,
-            checkpoint_every=32, checkpoint_dir=ckpt,
+            cache_dir=cache, jobs=1, resume=True, checkpoint_every=32
         )
         results = resumed.run([spec])
         assert [r.to_json() for r in results] == reference
         # A verified completion cleans up its per-spec image directory.
-        assert not list(ckpt.glob("*/ckpt-*.img"))
+        assert not list(cache.glob(images))
 
     def test_cache_namespace_depends_on_checkpoint_cadence(self, tmp_path):
         plain = SweepRunner(cache_dir=tmp_path / "a", jobs=1)
@@ -643,13 +641,21 @@ class TestSweepResume:
         assert ckpt.cache.version == f"{code_version()}-ckpt16"
         assert plain.cache.version != ckpt.cache.version
 
-    def test_env_interval_is_validated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CKPT_EVERY", "banana")
+    def test_checkpoint_interval_is_validated(self, tmp_path):
         with pytest.raises(ConfigError):
-            SweepRunner(cache_dir=tmp_path / "cache", jobs=1)
-        monkeypatch.setenv("REPRO_CKPT_EVERY", "0")
-        with pytest.raises(ConfigError):
-            SweepRunner(cache_dir=tmp_path / "cache", jobs=1)
+            SweepRunner(cache_dir=tmp_path / "cache", jobs=1, checkpoint_every=0)
+
+    def test_checkpoint_images_stay_under_the_cache_dir(self, tmp_path, monkeypatch):
+        # Images belong to the sweep's cache dir: a directory shared by
+        # every sweep run from one working directory lets the first
+        # sweep to finish delete another's in-flight images.
+        monkeypatch.chdir(tmp_path)
+        spec = irregular_spec(
+            "rb_tree", TABLE2, get_scale("quick"), "small", "4R-1W",
+            "versioned", 2, 300,
+        )
+        SweepRunner(cache_dir=tmp_path / "a", jobs=1, checkpoint_every=16).run([spec])
+        assert [p.name for p in tmp_path.iterdir()] == ["a"]
 
 
 # ---------------------------------------------------------------------------

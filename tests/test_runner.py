@@ -12,9 +12,13 @@ The two properties the rest of the repo leans on:
 from __future__ import annotations
 
 import json
+import os
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.config import TABLE2
 from repro.errors import ConfigError
 from repro.harness.experiments import fig6_speedup, gc_overhead
@@ -174,17 +178,13 @@ class TestCache:
         cache = ResultCache(tmp_path)
         assert cache.path_for(base) != cache.path_for(hatch)
 
-    def test_cache_namespace_depends_on_fused_env_hatch(self, tmp_path, monkeypatch):
+    def test_cache_namespace_ignores_fused_variable(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_FUSED", "0")
         plain = SweepRunner(cache_dir=tmp_path / "a", jobs=1)
         assert plain.cache.version == code_version()
-        monkeypatch.setenv("REPRO_FUSED", "0")
-        hatch = SweepRunner(cache_dir=tmp_path / "b", jobs=1)
-        assert hatch.cache.version == f"{code_version()}-nofuse"
-        # Composes with the checkpoint-cadence namespace.
-        both = SweepRunner(
-            cache_dir=tmp_path / "c", jobs=1, checkpoint_every=16
-        )
-        assert both.cache.version == f"{code_version()}-ckpt16-nofuse"
+        # Only the checkpoint cadence namespaces the cache.
+        ckpt = SweepRunner(cache_dir=tmp_path / "c", jobs=1, checkpoint_every=16)
+        assert ckpt.cache.version == f"{code_version()}-ckpt16"
 
     def test_duplicate_specs_simulated_once(self):
         spec = _fig6_slice(TINY)[0]
@@ -196,23 +196,41 @@ class TestCache:
 
 
 class TestEnvironment:
-    def test_jobs_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert SweepRunner(use_cache=False).jobs == 3
+    def test_runner_variables_are_ignored(self, tmp_path, monkeypatch):
+        # Arguments, and the CLI flags that feed them, are the runner's
+        # only settings.
+        for name, value in (
+            ("REPRO_JOBS", "3"),
+            ("REPRO_RUN_TIMEOUT", "banana"),
+            ("REPRO_RUN_RETRIES", "7"),
+            ("REPRO_CKPT_EVERY", "0"),
+            ("REPRO_CKPT_DIR", str(tmp_path / "ckpt")),
+        ):
+            monkeypatch.setenv(name, value)
+        runner = SweepRunner(use_cache=False)
+        assert runner.jobs == (os.cpu_count() or 1)
+        assert runner.timeout is None
+        assert runner.retries == 2
+        assert runner.checkpoint_every is None
 
-    def test_invalid_jobs_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "zero")
-        with pytest.raises(ConfigError):
-            SweepRunner(use_cache=False)
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        with pytest.raises(ConfigError):
-            SweepRunner(use_cache=False)
+    def test_cache_variables_are_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
+        runner = SweepRunner(jobs=1)
+        assert runner.cache is not None
+        assert runner.cache.root == Path(".repro_cache")
+        assert SweepRunner(jobs=1, use_cache=False).cache is None
+
+    def test_invalid_jobs_rejected(self):
         with pytest.raises(ConfigError):
             SweepRunner(jobs=0, use_cache=False)
 
-    def test_cache_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        assert SweepRunner(jobs=1).cache is None
-        monkeypatch.setenv("REPRO_CACHE", "1")
-        monkeypatch.setenv("REPRO_CACHE_DIR", "unused-but-harmless")
-        assert SweepRunner(jobs=1).cache is not None
+    def test_source_reads_no_environment(self):
+        src = Path(repro.__file__).resolve().parent
+        readers = [
+            f"{path.relative_to(src)}:{n}"
+            for path in sorted(src.rglob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"os\.environ|getenv", line)
+        ]
+        assert readers == []
