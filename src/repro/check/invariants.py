@@ -20,8 +20,9 @@ the PR-1 fast paths added:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
+from ..config import VERSION_BLOCK_SIZE
 from ..errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,13 +55,30 @@ def _check_version_lists(machine: "Machine") -> list[str]:
     return problems
 
 
+def _free_membership(machine: "Machine") -> tuple[Callable[[int], bool], list[str]]:
+    """A membership test for the free list, plus its duplicate problems.
+
+    O(released): the carved range is tested by bounds and alignment,
+    only the released stack is hashed.  A released paddr still inside
+    the carved range is a duplicate as much as one released twice.
+    """
+    free = machine.free_list
+    released = free._released
+    lo, top = free._lo, free._top
+    released_set = set(released)
+
+    def carved(paddr: int) -> bool:
+        return lo <= paddr < top and (paddr - lo) % VERSION_BLOCK_SIZE == 0
+
+    problems = []
+    if len(released_set) != len(released) or any(map(carved, released_set)):
+        problems.append("free list contains duplicate paddrs")
+    return (lambda paddr: paddr in released_set or carved(paddr)), problems
+
+
 def _check_paddr_accounting(machine: "Machine") -> list[str]:
     """Live blocks and the free list must partition the paddr space."""
-    problems = []
-    free = machine.free_list._free
-    free_set = set(free)
-    if len(free_set) != len(free):
-        problems.append("free list contains duplicate paddrs")
+    on_free, problems = _free_membership(machine)
     live: dict[int, str] = {}
     for vaddr, lst in machine.manager.lists.items():
         for block in lst:
@@ -71,7 +89,7 @@ def _check_paddr_accounting(machine: "Machine") -> list[str]:
                     f"{live[block.paddr]} and {where}"
                 )
             live[block.paddr] = where
-            if block.paddr in free_set:
+            if on_free(block.paddr):
                 problems.append(
                     f"paddr 0x{block.paddr:x} ({where}) is both linked "
                     f"into a version list and on the free list"
@@ -130,7 +148,7 @@ def _check_memo(machine: "Machine") -> list[str]:
 
 def _check_gc_lists(machine: "Machine") -> list[str]:
     problems = []
-    free_set = set(machine.free_list._free)
+    on_free, _ = _free_membership(machine)
     for kind, pairs in (
         ("shadowed", machine.gc._shadowed),
         ("pending", machine.gc._pending),
@@ -139,7 +157,7 @@ def _check_gc_lists(machine: "Machine") -> list[str]:
             where = f"gc {kind} block v{block.version}@0x{vlist.vaddr:x}"
             if not block.shadowed:
                 problems.append(f"{where} lost its shadowed flag")
-            if block.paddr in free_set:
+            if on_free(block.paddr):
                 problems.append(f"{where} paddr already on the free list")
             if machine.manager.lists.get(vlist.vaddr) is not vlist:
                 problems.append(f"{where} references a dropped version list")

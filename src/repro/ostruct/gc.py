@@ -111,6 +111,7 @@ class GarbageCollector:
             return
         block.shadowed = True
         block.shadowed_by = by
+        self.manager.dirty.add(vlist.vaddr)
         self._shadowed.append((block, vlist))
         self.stats.shadowed_registered += 1
         for fn in self.manager.events.shadow:
@@ -326,6 +327,7 @@ class GarbageCollector:
         """Return one dead block to the free list."""
         vlist.remove(block)
         self.free_list.release(block.paddr)
+        self.manager.dirty.add(vlist.vaddr)
         # The dead block's cache lines are left alone: they may also
         # hold live version blocks (4 per 64 B line), and a stale dead
         # block is harmless — coherence handles the line when the

@@ -154,6 +154,7 @@ class OStructureManager:
         "events",
         "metrics",
         "lists",
+        "dirty",
         "_direct",
         "_block_index",
         "_waiters",
@@ -200,6 +201,10 @@ class OStructureManager:
         self.metrics = None
         #: vaddr -> version list (the functional version store).
         self.lists: dict[int, VersionList] = {}
+        #: vaddrs whose list changed (a block inserted, removed, locked,
+        #: unlocked or shadowed, or the list created or freed) since a
+        #: checkpoint capture last consumed them (repro.recovery).
+        self.dirty: set[int] = set()
         #: Per-core compressed-line state: vaddr -> _DirectEntry.
         self._direct: list[dict[int, _DirectEntry]] = [
             {} for _ in range(config.num_cores)
@@ -620,6 +625,7 @@ class OStructureManager:
         """STORE-VERSION: create a new, immutable version."""
         lst = self._get_list(vaddr, create=True)
         assert lst is not None
+        self.dirty.add(vaddr)
         lat = self._extra()
         # Root pointer / predecessor line is modified: exclusive access,
         # which also invalidates other cores' compressed lines.
@@ -686,6 +692,7 @@ class OStructureManager:
     def _lock(self, core_id: int, vaddr: int, block: VersionBlock, task_id: int) -> int:
         """Gain exclusive access to the block's line and set locked-by."""
         block.locked_by = task_id
+        self.dirty.add(vaddr)
         self.stats.versions_locked += 1
         lat = self.hierarchy.access(core_id, block.paddr, write=True)
         self._cache_version(core_id, vaddr, block)
@@ -724,6 +731,7 @@ class OStructureManager:
             slat, _ = self.store_version(core_id, vaddr, new_version, block.value, task_id)
             lat += slat
         block.locked_by = None
+        self.dirty.add(vaddr)
         self.stats.versions_unlocked += 1
         lat += self.hierarchy.access(core_id, block.paddr, write=True)
         self._cache_version(core_id, vaddr, block)
@@ -791,6 +799,7 @@ class OStructureManager:
             # (can_abort_task refuses the latter before it gets here).
             return False
         lst.remove(block)
+        self.dirty.add(vaddr)
         # Purge any GC queue entry or a later phase double-releases it.
         self.gc.forget_block(block)
         self.free_list.release(block.paddr)
@@ -825,6 +834,7 @@ class OStructureManager:
         if lst is None:
             self._fire(None, None, ("free_ostructure", vaddr), 0)
             return 0
+        self.dirty.add(vaddr)
         if self._waiters.get(vaddr):
             self.lists[vaddr] = lst
             raise ProtectionFault(

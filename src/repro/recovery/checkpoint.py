@@ -4,41 +4,58 @@ One :class:`Checkpoint` is a full structural snapshot of a machine taken
 at a deterministic point — the N-th versioned operation, the same
 ordinal clock the fault injector triggers on — covering every mutable
 subsystem: the event engine's counters, the stats, the whole version
-store (lists, compressed lines, page table, free list), the GC's
-shadowed/pending queues, the task tracker, the cores' scheduling state,
+store (lists, compressed lines, page table as runs of pages, free list
+as its released stack plus carved range), the GC's shadowed/pending
+queues and epoch pin, the task tracker, the cores' scheduling state,
 and any rwlocks.  The snapshot is pure data (ints, strings, tuples), so
 it pickles; its SHA-256 digest is the run's identity at that marker.
 
-On-disk image format (``ckpt-NNNNNN.img``)::
+Capture is incremental.  Versions are write-once (§II-A), so between
+two markers only the addresses the manager and GC marked dirty (a block
+inserted, removed, locked, unlocked or shadowed) can have changed; the
+:class:`StoreCache` re-canonicalises exactly those and reuses the rest,
+and the new epoch pin is built from the same cached entries.
+:func:`capture_state` without a cache is the full walk, kept as the
+reference: the state the cache yields must equal it in value, key order
+and digest, and with ``config.checked`` the checkpointer asserts so at
+every marker.
+
+Each marker pickles its state exactly once (:func:`encode_state`); the
+same bytes feed the SHA-256 digest and the image.  On-disk image format
+(``ckpt-NNNNNN.img``)::
 
     MAGIC (8 bytes) | CRC32 of payload (4 bytes, big-endian) | payload
 
-where the payload is the pickled checkpoint dict.  The CRC detects the
-``corrupt-block`` fault (and real bit rot): a damaged image reads as
-:class:`CheckpointError` and recovery falls back to the previous valid
-image.  Images are written atomically — temp file, flush+fsync, rename,
-directory fsync — so a writer killed at any instruction leaves either
-the old state or the new state, never a truncated image (the same
-guarantee the sweep runner's row cache makes, hardened here too).
+where the payload is the pickled dict of replay coordinates (marker,
+cadence, op index, cycle, code version) whose ``encoded`` entry holds
+the state's pickle verbatim; the digest is recomputed from it on read.
+The CRC detects the ``corrupt-block`` fault (and real bit rot): a
+damaged image reads as :class:`CheckpointError` and recovery falls back
+to the previous valid image.  Images are written atomically — temp
+file, flush+fsync, rename, directory fsync — so a writer killed at any
+instruction leaves either the old state or the new state, never a
+truncated image (the same guarantee the sweep runner's row cache makes,
+hardened here too).
 
 The :class:`Checkpointer` drives capture from inside a live machine.  It
 subscribes to the machine's ``tick`` event (repro.sim.events: once per
 versioned op, the ordinal the fault injector counts too) and, at every
 multiple of ``every``, defers a *marker event* via
 ``sim.schedule(0, ...)`` so the version store is quiescent when the walk
-happens.  At a marker it always does the same three deterministic
-things — bump ``stats.checkpoints_reached``, pin the GC's reclaim bound
-at the current version frontier, capture the state — and then either
-*writes* the image (capture mode) or *compares digests* against a
-surviving image of a previous incarnation of the same run (verify mode,
-used during restore).  Because both modes schedule the same events and
-mutate the same state, a verified replay is byte-identical to the run
-that wrote the images.
+happens.  At a marker it always does the same deterministic things —
+bump ``stats.checkpoints_reached``, capture the state (including the
+pin of the epoch it closes), pin the GC's reclaim bound at the current
+version frontier — and then either *writes* the image (capture mode) or
+*compares digests* against a surviving image of a previous incarnation
+of the same run (verify mode, used during restore).  Because both modes
+schedule the same events and mutate the same state, a verified replay
+is byte-identical to the run that wrote the images.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import pickle
 import zlib
@@ -46,12 +63,16 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from ..errors import CheckpointError, ConfigError
+from ..ostruct.page_table import page_runs
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..ostruct.manager import OStructureManager
+    from ..ostruct.version_block import VersionList
     from ..sim.machine import Machine
 
-#: Image file magic ("repro o-structure checkpoint", format version 1).
-MAGIC = b"ROCKPT1\n"
+#: Image file magic ("repro o-structure checkpoint", format version 2:
+#: the state travels pre-encoded, see :class:`Checkpoint`).
+MAGIC = b"ROCKPT2\n"
 
 #: Pickle protocol pinned for digest stability across interpreter runs.
 _PICKLE_PROTOCOL = 4
@@ -75,37 +96,126 @@ def _canon(value: Any) -> Any:
     return repr(value)
 
 
-def capture_state(machine: "Machine") -> dict[str, Any]:
+def _canon_list(vlist: "VersionList") -> tuple:
+    """One address's canonical version-store entry, head to tail."""
+    head = vlist.head
+    return tuple(
+        (
+            block.version,
+            _canon(block.value),
+            block.locked_by,
+            block.shadowed,
+            block.shadowed_by,
+            block is head,
+            block.paddr,
+        )
+        for block in vlist
+    )
+
+
+class StoreCache:
+    """The version store's canonical entries, kept current incrementally.
+
+    Versions are write-once (§II-A): only the manager and GC points that
+    insert, remove, lock, unlock or shadow a block change an address's
+    entry, and each of them adds the address to ``manager.dirty``.
+    :meth:`refresh` re-canonicalises exactly those addresses, so a
+    capture costs O(addresses changed since the last one) in list walks.
+    :func:`capture_state` without a cache is the full walk this must
+    always equal.
+    """
+
+    __slots__ = ("manager", "_entries", "_pairs", "_pin", "_pin_sorted")
+
+    def __init__(self, manager: "OStructureManager"):
+        self.manager = manager
+        #: vaddr -> :func:`_canon_list` of its version list.
+        self._entries: dict[int, tuple] = {}
+        #: vaddr -> its ``(vaddr, version)`` pairs, ascending.
+        self._pairs: dict[int, tuple[tuple[int, int], ...]] = {}
+        #: The last pin :meth:`pin` built, and its sorted form.
+        self._pin: frozenset[tuple[int, int]] | None = None
+        self._pin_sorted: tuple[tuple[int, int], ...] = ()
+        manager.dirty.update(manager.lists)
+
+    def refresh(self) -> None:
+        """Re-canonicalise every address marked dirty since the last call."""
+        lists = self.manager.lists
+        dirty = self.manager.dirty
+        entries = self._entries
+        pairs = self._pairs
+        for vaddr in dirty:
+            vlist = lists.get(vaddr)
+            if vlist is None:
+                entries.pop(vaddr, None)
+                pairs.pop(vaddr, None)
+                continue
+            entry = entries[vaddr] = _canon_list(vlist)
+            pairs[vaddr] = tuple(sorted((vaddr, blk[0]) for blk in entry))
+        dirty.clear()
+
+    def version_store(self) -> dict[int, tuple]:
+        """The ``version_store`` of a capture, in ``manager.lists`` order."""
+        self.refresh()
+        entries = self._entries
+        return {vaddr: entries[vaddr] for vaddr in self.manager.lists}
+
+    def pin(self) -> frozenset[tuple[int, int]]:
+        """A new epoch pin: every live ``(vaddr, version)``, built from
+        the cached entries rather than a walk over the lists."""
+        self.refresh()
+        pairs = self._pairs
+        self._pin_sorted = tuple(
+            itertools.chain.from_iterable(pairs[vaddr] for vaddr in sorted(pairs))
+        )
+        self._pin = frozenset(self._pin_sorted)
+        return self._pin
+
+    def sorted_pin(
+        self, pin: frozenset[tuple[int, int]] | None
+    ) -> tuple[tuple[int, int], ...] | None:
+        """:func:`_sorted_pin`, free when ``pin`` is the last one built."""
+        if pin is not None and pin is self._pin:
+            return self._pin_sorted
+        return _sorted_pin(pin)
+
+
+def _sorted_pin(
+    pin: frozenset[tuple[int, int]] | None,
+) -> tuple[tuple[int, int], ...] | None:
+    return tuple(sorted(pin)) if pin is not None else None
+
+
+def capture_state(
+    machine: "Machine", cache: StoreCache | None = None
+) -> dict[str, Any]:
     """Walk every mutable subsystem into a plain, deterministic dict.
 
     The walk is read-only (it must not perturb the run it snapshots) and
     emits only primitives in deterministic order, so pickling the result
-    yields identical bytes for identical machine states.
+    yields identical bytes for identical machine states.  With a
+    ``cache`` the version store comes from the cache's incremental
+    entries; without one every list is walked (the reference the cache
+    is checked against).
     """
     sim = machine.sim
     mgr = machine.manager
     gc = machine.gc
     tracker = machine.tracker
-    free = machine.free_list
 
-    version_store = {
-        vaddr: tuple(
-            (
-                block.version,
-                _canon(block.value),
-                block.locked_by,
-                block.shadowed,
-                block.shadowed_by,
-                vlist.head is block,
-                block.paddr,
-            )
-            for block in vlist
-        )
-        for vaddr, vlist in mgr.lists.items()
-    }
+    if cache is None:
+        version_store = {
+            vaddr: _canon_list(vlist) for vaddr, vlist in mgr.lists.items()
+        }
+        pages = page_runs(machine.page_table._versioned_pages)
+        pin = _sorted_pin(gc.epoch_pin)
+    else:
+        version_store = cache.version_store()
+        pages = machine.page_table.runs()
+        pin = cache.sorted_pin(gc.epoch_pin)
     compressed = tuple(
         tuple(
-            (vaddr, tuple(sorted(entry.line.versions())))
+            (vaddr, tuple(entry.line.versions()))
             for vaddr, entry in sorted(core_direct.items())
         )
         for core_direct in mgr._direct
@@ -135,12 +245,8 @@ def capture_state(machine: "Machine") -> dict[str, Any]:
             (task, tuple(pairs)) for task, pairs in sorted(mgr._created.items())
         ),
         "roots": tuple(sorted(mgr.roots)),
-        "page_table": tuple(sorted(machine.page_table._versioned_pages)),
-        "free_list": {
-            "free": tuple(free._free),
-            "bump": free._bump,
-            "refills_left": free.refills_left,
-        },
+        "page_table": pages,
+        "free_list": machine.free_list.snapshot(),
         "gc": {
             "shadowed": tuple(
                 (vlist.vaddr, block.version) for block, vlist in gc._shadowed
@@ -151,7 +257,7 @@ def capture_state(machine: "Machine") -> dict[str, Any]:
             "phase_active": gc.phase_active,
             "recorded_youngest": gc._recorded_youngest,
             "enabled": gc.enabled,
-            "pin": tuple(sorted(gc.epoch_pin)) if gc.epoch_pin is not None else None,
+            "pin": pin,
             "pin_drops": gc.pin_drops,
         },
         "tracker": {
@@ -192,11 +298,15 @@ def capture_state(machine: "Machine") -> dict[str, Any]:
     }
 
 
+def encode_state(state: dict[str, Any]) -> bytes:
+    """The canonical pickle of a captured state: the bytes its digest
+    covers and its image stores."""
+    return pickle.dumps(state, protocol=_PICKLE_PROTOCOL)
+
+
 def state_digest(state: dict[str, Any]) -> str:
     """SHA-256 over the canonical pickle of a captured state."""
-    return hashlib.sha256(
-        pickle.dumps(state, protocol=_PICKLE_PROTOCOL)
-    ).hexdigest()
+    return hashlib.sha256(encode_state(state)).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +351,13 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
 
 
 class Checkpoint:
-    """One epoch image: replay coordinates + structural state + digest."""
+    """One epoch image: replay coordinates + the encoded state + its digest.
+
+    ``encoded`` is :func:`encode_state` of the captured state, pickled
+    once: the digest is its SHA-256 and the image stores it verbatim.
+    ``state`` unpickles it on first use (a captured checkpoint already
+    holds the dict).
+    """
 
     def __init__(
         self,
@@ -250,29 +366,39 @@ class Checkpoint:
         every: int,
         op_index: int,
         cycle: int,
-        digest: str,
-        state: dict[str, Any],
-        pinned: tuple[tuple[int, int], ...],
+        encoded: bytes,
         code_version: str,
+        state: dict[str, Any] | None = None,
     ):
         self.marker = marker
         self.every = every
         self.op_index = op_index
         self.cycle = cycle
-        self.digest = digest
-        self.state = state
-        self.pinned = pinned
+        self.encoded = encoded
+        self.digest = hashlib.sha256(encoded).hexdigest()
         self.code_version = code_version
+        self._state = state
+
+    @property
+    def state(self) -> dict[str, Any]:
+        if self._state is None:
+            self._state = pickle.loads(self.encoded)
+        return self._state
 
     @classmethod
     def capture(
-        cls, machine: "Machine", *, marker: int = 0, every: int = 0
+        cls,
+        machine: "Machine",
+        *,
+        marker: int = 0,
+        every: int = 0,
+        cache: StoreCache | None = None,
     ) -> "Checkpoint":
-        """Snapshot ``machine`` right now (read-only walk)."""
+        """Snapshot ``machine`` right now (read-only; see
+        :func:`capture_state` for ``cache``)."""
         from ..harness.runner import code_version
 
-        state = capture_state(machine)
-        pin = machine.gc.epoch_pin
+        state = capture_state(machine, cache)
         ckpt = machine.checkpointer
         return cls(
             marker=marker,
@@ -281,10 +407,9 @@ class Checkpoint:
             if ckpt is not None
             else machine.stats.versioned_ops,
             cycle=machine.sim.now,
-            digest=state_digest(state),
-            state=state,
-            pinned=tuple(sorted(pin)) if pin is not None else (),
+            encoded=encode_state(state),
             code_version=code_version(),
+            state=state,
         )
 
     def verify(self, machine: "Machine") -> bool:
@@ -299,9 +424,7 @@ class Checkpoint:
             "every": self.every,
             "op_index": self.op_index,
             "cycle": self.cycle,
-            "digest": self.digest,
-            "state": self.state,
-            "pinned": self.pinned,
+            "encoded": self.encoded,
             "code_version": self.code_version,
         }
 
@@ -428,6 +551,7 @@ class Checkpointer:
         self.captured: list[int] = []
         self.verified: list[int] = []
         self._marker_pending = False
+        self._cache = StoreCache(machine.manager)
         machine.events.subscribe("tick", self._on_tick, first=True)
         machine.checkpointer = self
 
@@ -450,15 +574,17 @@ class Checkpointer:
         if self.announce is not None:
             info, self.announce = self.announce, None
             m.events.emit("recovery", "restore", info)
+        ck = Checkpoint.capture(
+            m, marker=marker, every=self.every, cache=self._cache
+        )
+        pin = self._cache.pin()
+        if m.config.checked:
+            self._audit(ck, pin)
         # Pin the GC's reclaim bound at this epoch's version frontier:
         # nothing live at this marker may be reclaimed until the next
-        # marker advances the pin (see repro.ostruct.gc).
-        m.gc.epoch_pin = frozenset(
-            (vaddr, block.version)
-            for vaddr, vlist in m.manager.lists.items()
-            for block in vlist
-        )
-        ck = Checkpoint.capture(m, marker=marker, every=self.every)
+        # marker advances the pin (see repro.ostruct.gc).  The capture
+        # above holds the pin of the epoch it closes.
+        m.gc.epoch_pin = pin
         ref = self.verify.get(marker)
         if ref is not None:
             if ref.digest != ck.digest:
@@ -471,6 +597,29 @@ class Checkpointer:
         else:
             ck.write(image_path(self.directory, marker))
             self.captured.append(marker)
+
+    def _audit(self, ck: Checkpoint, pin: frozenset[tuple[int, int]]) -> None:
+        """The sanitizer's check (``config.checked``): the incremental
+        capture must encode to exactly the full walk's bytes, and the
+        new pin must hold exactly the versions a walk finds."""
+        m = self.machine
+        full = capture_state(m)
+        if encode_state(full) != ck.encoded:
+            keys = [k for k in full if full[k] != ck.state.get(k)]
+            raise CheckpointError(
+                f"incremental capture diverged from the full walk at marker "
+                f"{ck.marker}: {', '.join(keys) or 'key order'} differ"
+            )
+        walked = frozenset(
+            (vaddr, block.version)
+            for vaddr, vlist in m.manager.lists.items()
+            for block in vlist
+        )
+        if pin != walked:
+            raise CheckpointError(
+                f"incremental epoch pin diverged from the version store at "
+                f"marker {ck.marker}"
+            )
 
     # -- lifecycle -----------------------------------------------------------
 

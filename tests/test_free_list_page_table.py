@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import VERSION_BLOCK_SIZE
 from repro.errors import FreeListExhausted, ProtectionFault
 from repro.ostruct.free_list import REFILL_TRAP_CYCLES, FreeList
-from repro.ostruct.page_table import PAGE_SIZE, PageTable
+from repro.ostruct.page_table import PAGE_SIZE, PageTable, page_runs
 from repro.sim.stats import SimStats
 
 
@@ -77,6 +79,124 @@ class TestFreeList:
         assert again == paddr
 
 
+class ReferenceFreeList:
+    """The free list as one materialised LIFO stack of every free paddr:
+    the model the carved-range :class:`FreeList` must match exactly."""
+
+    def __init__(self, *, base_paddr, initial_blocks, refill_blocks, max_refills):
+        self.free: list[int] = []
+        self.bump = base_paddr
+        self.refill_blocks = refill_blocks
+        self.refills_left = max_refills
+        self.refills = 0
+        self.regions: list[tuple[int, int]] = []
+        self.carve(initial_blocks)
+
+    def carve(self, nblocks):
+        self.regions.append((self.bump, nblocks * VERSION_BLOCK_SIZE))
+        for _ in range(nblocks):
+            self.free.append(self.bump)
+            self.bump += VERSION_BLOCK_SIZE
+
+    def allocate(self):
+        if not self.free:
+            if self.refills_left is not None and self.refills_left <= 0:
+                raise FreeListExhausted("empty")
+            if self.refills_left is not None:
+                self.refills_left -= 1
+            self.carve(self.refill_blocks)
+            self.refills += 1
+            return self.free.pop(), REFILL_TRAP_CYCLES
+        return self.free.pop(), 0
+
+    def release(self, paddr):
+        self.free.append(paddr)
+
+    def drain(self, leave):
+        dropped = max(0, len(self.free) - max(0, leave))
+        if dropped:
+            del self.free[len(self.free) - dropped :]
+        return dropped
+
+
+_FREE_LIST_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("allocate"), st.integers(1, 6)),
+        st.tuples(st.just("release"), st.integers(0, 1 << 16)),
+        st.tuples(st.just("drain"), st.integers(0, 8)),
+        st.tuples(st.just("budget"), st.one_of(st.none(), st.integers(0, 3))),
+    ),
+    max_size=60,
+)
+
+
+class TestFreeListAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        initial=st.integers(1, 12),
+        refill=st.integers(1, 6),
+        max_refills=st.one_of(st.none(), st.integers(0, 4)),
+        ops=_FREE_LIST_OPS,
+    )
+    def test_same_paddrs_latencies_counts_and_exhaustion(
+        self, initial, refill, max_refills, ops
+    ):
+        stats = SimStats()
+        regions = []
+        fl = FreeList(
+            base_paddr=0x8000_0000,
+            initial_blocks=initial,
+            refill_blocks=refill,
+            max_refills=max_refills,
+            stats=stats,
+            on_refill_page=lambda a, n: regions.append((a, n)),
+        )
+        ref = ReferenceFreeList(
+            base_paddr=0x8000_0000,
+            initial_blocks=initial,
+            refill_blocks=refill,
+            max_refills=max_refills,
+        )
+        held: list[int] = []
+        for kind, arg in ops:
+            if kind == "allocate":
+                for _ in range(arg):
+                    try:
+                        expected = ref.allocate()
+                    except FreeListExhausted:
+                        with pytest.raises(FreeListExhausted):
+                            fl.allocate()
+                        break
+                    got = fl.allocate()
+                    assert got == expected
+                    held.append(got[0])
+            elif kind == "release":
+                if held:
+                    paddr = held.pop(arg % len(held))
+                    fl.release(paddr)
+                    ref.release(paddr)
+            elif kind == "drain":
+                assert fl.drain(leave=arg) == ref.drain(arg)
+            else:
+                fl.set_refill_budget(arg)
+                ref.refills_left = arg
+            assert fl.paddrs() == ref.free
+            assert fl.free_count == len(ref.free)
+            assert fl.refills_left == ref.refills_left
+            assert stats.free_list_refills == ref.refills
+            assert regions == ref.regions
+
+    def test_snapshot_is_independent_of_the_carved_size(self):
+        small, large = make_fl(initial=1 << 4), make_fl(initial=1 << 20)
+        for fl in (small, large):
+            fl.release(fl.allocate()[0])
+        released, lo, top, bump, left = large.snapshot()
+        assert released == (lo + ((1 << 20) - 1) * VERSION_BLOCK_SIZE,)
+        assert (top - lo) // VERSION_BLOCK_SIZE == (1 << 20) - 1
+        assert bump == top + VERSION_BLOCK_SIZE  # the allocated one
+        assert len(small.snapshot()) == len(large.snapshot())
+
+
 class TestPageTable:
     def test_bit_set_and_queried(self):
         pt = PageTable()
@@ -111,6 +231,18 @@ class TestPageTable:
         pt.clear_versioned(0x5000)
         assert not pt.is_versioned(0x5000)
         pt.check_conventional(0x5000)
+
+    def test_runs_are_maximal_and_follow_every_change(self):
+        pt = PageTable()
+        assert pt.runs() == ()
+        pt.mark_versioned(0x5000, 3 * PAGE_SIZE)
+        pt.mark_versioned(0x9000)
+        assert pt.runs() == ((5, 7), (9, 9))
+        pt.mark_versioned(0x8000)  # bridges the gap
+        assert pt.runs() == ((5, 9),)
+        pt.clear_versioned(0x6000)
+        assert pt.runs() == ((5, 5), (7, 9))
+        assert pt.runs() == page_runs(pt._versioned_pages)
 
     def test_page_of(self):
         assert PageTable.page_of(0) == 0
